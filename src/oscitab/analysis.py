@@ -12,10 +12,12 @@ from itertools import product
 
 from .shapes import (
     Partition,
+    check_partition,
     contains,
     even_conjugate_partitions,
     in_N,
     partitions_of,
+    trim,
     v_set,
 )
 from .tableaux import lr_coefficient
@@ -56,7 +58,7 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     The coefficient of nu sums the LR coefficients c(beta, lam; nu) over
     partitions beta of n - |lam| with even conjugate.
     """
-    lam = tuple(lam)
+    lam = check_partition(trim(lam))
     if not in_N(lam, n):
         raise _parity_error(lam, n)
     return SchurExpansion(n, dict(_ssot_schur_items(lam, n)))
@@ -64,7 +66,7 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
 
 def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
     """Hall pairing of two SSOT functions: dot product of their Schur coefficients."""
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     if not in_N(lam, n):

@@ -6,6 +6,7 @@ the step-pair encoding.  Identical invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,6 +254,7 @@ def cmd_vset(args) -> None:
         print(fmt_parts(nu))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscitab",

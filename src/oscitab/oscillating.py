@@ -16,6 +16,7 @@ from .shapes import (
     Partition,
     add_box,
     addable_boxes,
+    check_partition,
     horizontal_strip_boxes,
     in_N,
     is_horizontal_strip,
@@ -220,28 +221,26 @@ def _events_of(x) -> EventTrace:
     raise TypeError(f"expected SSOT or OscillatingTableau, got {type(x).__name__}")
 
 
-def descent_positions(events: EventTrace) -> tuple[int, ...]:
-    """Positions j where a new step must start between events j and j+1.
+def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
+    """True when a new step must start between two consecutive events.
 
     Two additions descend when the second box is not northEast of the first;
     an addition followed by a deletion always descends; two deletions descend
     when the first box is not northEast of the second; a deletion followed by
     an addition never descends.
     """
+    if kind1 == ADD:
+        return kind2 == DELETE or not northeast(box1, box2)
+    return kind2 == DELETE and not northeast(box2, box1)
+
+
+def descent_positions(events: EventTrace) -> tuple[int, ...]:
+    """Positions j where a new step must start between events j and j+1."""
     boxes, kinds = events.boxes, events.kinds
     out = []
-    for j in range(len(boxes) - 1):
-        k1, k2 = kinds[j], kinds[j + 1]
-        if k1 == ADD and k2 == ADD:
-            descent = not northeast(boxes[j], boxes[j + 1])
-        elif k1 == ADD and k2 == DELETE:
-            descent = True
-        elif k1 == DELETE and k2 == DELETE:
-            descent = not northeast(boxes[j + 1], boxes[j])
-        else:
-            descent = False
-        if descent:
-            out.append(j + 1)
+    for j in range(1, len(boxes)):
+        if is_descent(kinds[j - 1], boxes[j - 1], kinds[j], boxes[j]):
+            out.append(j)
     return tuple(out)
 
 
@@ -337,6 +336,20 @@ def run_of(x) -> Run:
     return Run(events.profile, frozenset(descent_positions(events)))
 
 
+def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
+    """Validate a (shape, length, bound) query and return the shape without trailing zeros.
+
+    A non-partition shape, a negative length and a bound below 1 raise
+    ``ValueError``.  An inadmissible length is not an error: its answer is
+    empty.
+    """
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
+    if bound < 1:
+        raise ValueError(f"{bound_name} must be at least 1, got {bound}")
+    return check_partition(trim(lam))
+
+
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     """All oscillating tableaux of the given shape and length, in a fixed order.
 
@@ -393,6 +406,7 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
     Grouped by standardization: for each oscillating tableau, the fiber is
     the set of weakly increasing relabelings that are strict at descents.
     """
+    lam = check_tableau_query(lam, n, max_letter, "max_letter")
     out: list[SSOT] = []
     for O in enumerate_ot(lam, n):
         events = ot_events(O)
@@ -404,6 +418,7 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
 
 def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
     """All quasi-Yamanouchi SSOTs of step at most ``max_step``; one per OT of that step."""
+    lam = check_tableau_query(lam, n, max_step, "max_step")
     out: list[SSOT] = []
     for O in enumerate_ot(lam, n):
         events = ot_events(O)
@@ -444,24 +459,18 @@ def ssot_to_dict(S: SSOT) -> dict:
     }
 
 
+def _shape_entry(entry) -> Partition:
+    if not isinstance(entry, (list, tuple)) or not all(type(p) is int for p in entry):
+        raise ValueError(f"malformed SSOT encoding: {entry!r} is not a list of integers")
+    return check_partition(entry)
+
+
 def ssot_from_dict(data: dict) -> SSOT:
     try:
         steps = tuple(
-            (tuple(step["deleted"]), tuple(step["reached"]))
+            (_shape_entry(step["deleted"]), _shape_entry(step["reached"]))
             for step in data["steps"]
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed SSOT encoding: {exc}") from exc
     return SSOT(steps)
-
-
-def ot_to_dict(O: OscillatingTableau) -> dict:
-    return {"chain": [list(p) for p in O.chain]}
-
-
-def ot_from_dict(data: dict) -> OscillatingTableau:
-    try:
-        chain = tuple(tuple(p) for p in data["chain"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed OT encoding: {exc}") from exc
-    return OscillatingTableau(chain)

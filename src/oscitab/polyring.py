@@ -4,16 +4,20 @@ Exponent vectors are fixed-length tuples; coefficients are Python ints.
 Serialization order is graded lexicographic, largest first.
 """
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .shapes import (
     Composition,
     Partition,
+    add_box,
+    addable_boxes,
+    in_N,
     is_strong,
-    ref_set,
+    remove_box,
+    removable_boxes,
     trim,
 )
-from .oscillating import com, enumerate_qyot, enumerate_ssot, descent_data
+from .oscillating import ADD, DELETE, check_tableau_query, is_descent
 from .tableaux import ssyt_of_shape, weight
 
 
@@ -133,16 +137,6 @@ class SparsePoly:
         out.terms = terms
         return out
 
-    def truncate(self, maxdeg: int) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= maxdeg}
-        return out
-
-    def homogeneous_part(self, degree: int) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return out
-
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -226,12 +220,43 @@ def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     return out
 
 
+def _add_fundamental(terms: dict, a: Composition, k: int, coef: int) -> None:
+    """Add ``coef * F_a(x_1..x_k)`` into ``terms``.
+
+    F_a sums ``x^content(w)`` over the weakly increasing words ``w`` in 1..k
+    that strictly increase at the descents of ``a``.  Such a word is its
+    content: letter i fills the next ``exp[i]`` positions, and a run of equal
+    letters may not cross the end of a part of ``a``.
+    """
+    ends = list(accumulate(a))
+    n = ends[-1] if ends else 0
+    exp = [0] * k
+
+    def rec(i: int, filled: int, j: int) -> None:
+        # letters below i fill positions 1..filled; ends[j] is the first part end after them
+        if filled == n:
+            key = tuple(exp)
+            terms[key] = terms.get(key, 0) + coef
+            return
+        if k - i < len(ends) - j:
+            return
+        end = ends[j]
+        for c in range(end - filled + 1):
+            exp[i] = c
+            rec(i + 1, filled + c, j + 1 if filled + c == end else j)
+        exp[i] = 0
+
+    rec(0, 0, 0)
+
+
 def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
-    """Sum of the monomial quasi-symmetric polynomials over all refinements of ``a``."""
-    total = SparsePoly(k)
-    for b in ref_set(a):
-        total = total + monomial_qsym(b, k)
-    return total
+    """Fundamental quasi-symmetric polynomial: the sum of ``M_b`` over all refinements ``b`` of ``a``."""
+    a = trim(a)
+    if not is_strong(a):
+        raise ValueError("fundamental quasi-symmetric functions are indexed by strong compositions")
+    out = SparsePoly(k)
+    _add_fundamental(out.terms, a, k, 1)
+    return out
 
 
 def schur_poly(lam: Partition, k: int) -> SparsePoly:
@@ -245,24 +270,92 @@ def schur_poly(lam: Partition, k: int) -> SparsePoly:
     return out
 
 
+def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
+    """Oscillating tableaux of shape ``lam`` and length ``n`` counted by descent composition.
+
+    Transfer-matrix method (Stanley, EC1 4.7): whether events j and j+1 are
+    split by a descent depends on those two events only, so the OTs are
+    built one event at a time without listing them.  A layer maps each state
+    (shape, kind and box of the last event) to the descent sets reached so
+    far, as bitmasks with bit j for a descent after event j, and their
+    counts.  A branch is dropped when its shape is further from ``lam`` than
+    the events left, or when a descent would make more than ``max_step``
+    parts.
+    """
+    if not in_N(lam, n):
+        return {}
+    if n == 0:
+        return {(): 1}
+    moves: dict = {}
+
+    def distance(shape: Partition) -> int:
+        # one-box moves needed from shape to lam: down to the meet, then up
+        return sum(shape) + sum(lam) - 2 * sum(map(min, shape, lam))
+
+    def moves_from(state) -> list:
+        shape, kind, box = state
+        out = []
+        for kind2, boxes, step in (
+            (DELETE, removable_boxes(shape), remove_box),
+            (ADD, addable_boxes(shape), add_box),
+        ):
+            for box2 in boxes:
+                nxt = step(shape, box2)
+                descends = kind is not None and is_descent(kind, box, kind2, box2)
+                out.append(((nxt, kind2, box2), descends, distance(nxt)))
+        moves[state] = out
+        return out
+
+    layer = {((), None, None): {0: 1}}
+    for t in range(n):
+        left = n - 1 - t
+        bit = 1 << t
+        nxt_layer: dict = {}
+        for state, masks in layer.items():
+            for target, descends, dist in moves.get(state) or moves_from(state):
+                if dist > left:
+                    continue
+                acc = nxt_layer.setdefault(target, {})
+                if descends:
+                    for mask, c in masks.items():
+                        if mask.bit_count() + 2 <= max_step:
+                            acc[mask | bit] = acc.get(mask | bit, 0) + c
+                else:
+                    for mask, c in masks.items():
+                        acc[mask] = acc.get(mask, 0) + c
+        layer = nxt_layer
+
+    counts: dict[Composition, int] = {}
+    for masks in layer.values():
+        for mask, c in masks.items():
+            cuts = [j for j in range(1, n) if mask >> j & 1] + [n]
+            comp = tuple(b - a for a, b in zip([0] + cuts, cuts))
+            counts[comp] = counts.get(comp, 0) + c
+    return counts
+
+
 def ssot_poly(lam: Partition, n: int, k: int) -> SparsePoly:
-    """Generating polynomial of SSOTs of shape ``lam``, length ``n``, letters <= k."""
-    if k < 1:
-        raise ValueError("SSOT polynomials need at least one variable")
+    """Generating polynomial of SSOTs of shape ``lam``, length ``n``, letters <= k.
+
+    Gessel's expansion: the sum of ``c_a F_a(x_1..x_k)`` over the descent
+    compositions ``a`` of the oscillating tableaux, ``c_a`` of them each.
+    """
+    lam = check_tableau_query(lam, n, k, "k")
     out = SparsePoly(k)
-    for S in enumerate_ssot(tuple(lam), n, k):
-        exp = tuple(com(S)) + (0,) * (k - len(com(S)))
-        out.terms[exp] = out.terms.get(exp, 0) + 1
+    for a, c in _descent_counts(lam, n, k).items():
+        _add_fundamental(out.terms, a, k, c)
     return out
 
 
 def f_expansion(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
-    """Multiplicity of each descent composition over the quasi-Yamanouchi SSOTs."""
-    counts: dict[Composition, int] = {}
-    for Q in enumerate_qyot(tuple(lam), n, max_step):
-        _, comp, _ = descent_data(Q)
-        counts[comp] = counts.get(comp, 0) + 1
-    return dict(sorted(counts.items(), reverse=True))
+    """Multiplicity of each descent composition over the quasi-Yamanouchi SSOTs.
+
+    Equivalently, the oscillating tableaux of shape ``lam`` and length ``n``
+    counted by descent composition, kept when it has at most ``max_step``
+    parts; sorted lexicographically descending.
+    """
+    lam = check_tableau_query(lam, n, max_step, "max_step")
+    return dict(sorted(_descent_counts(lam, n, max_step).items(), reverse=True))
 
 
 def littlewood_truncated(k: int, maxdeg: int) -> SparsePoly:

@@ -168,9 +168,11 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     """Partitions of ``n`` reachable from ``lam`` by adding even-size vertical strips.
 
     Breadth-first closure over single strip additions; empty when the parity
-    or size constraint fails.
+    or size constraint fails, and a ``ValueError`` for a negative ``n``.
     """
     lam = check_partition(lam) if lam else ()
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
     if not in_N(lam, n):
         return ()
     seen = {lam}

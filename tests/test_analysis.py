@@ -40,7 +40,9 @@ def test_ssot_schur_algebraic_oracle_single_row():
 
 
 def test_ssot_schur_algebraic_oracle_exhaustive():
-    # combinatorial LR sums against brute-force generating functions
+    # combinatorial LR sums against the generating functions; ssot_poly is
+    # built from the OT descent-count DP, so this is not a check against
+    # brute force (test_polyring compares the DP with the enumerators)
     for m in range(4):
         for lam in partitions_of(m):
             for n in range(m, m + 5, 2):
@@ -71,6 +73,16 @@ def test_hall_inner_examples():
         hall_inner((2,), (1, 1, 1), 5)
     with pytest.raises(ValueError):
         hall_inner((3,), (1, 1, 1), 4)
+
+
+def test_non_partition_shapes_raise():
+    with pytest.raises(ValueError):
+        ssot_schur((1, 2), 5)
+    with pytest.raises(ValueError):
+        hall_inner((1, 2), (2, 1), 5)
+    with pytest.raises(ValueError):
+        hall_inner((2, 1), (0, 3), 5)
+    assert ssot_schur((2, 1, 0), 5) == ssot_schur((2, 1), 5)
 
 
 def test_similarity():

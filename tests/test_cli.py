@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oscitab.cli import main, parse_partition
+from oscitab.cli import build_parser, main, parse_partition
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +70,39 @@ def test_domain_error_exit_code(capsys):
     assert main(["sundaram", str(DATA / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand-f", "2,1", "5", "0"],
+        ["enumerate-qyot", "2,1", "-1", "3"],
+        ["ssot-poly", "2,1", "5", "0"],
+        ["vset", "2,1", "-3"],
+    ],
+)
+def test_out_of_range_arguments_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"steps": [{"deleted": [], "reached": ["a"]}]},
+        {"steps": [{"deleted": [], "reached": [1.5]}]},
+        {"steps": [{"deleted": [], "reached": [1, 2]}]},
+        {"steps": [{"deleted": [], "reached": [-1]}]},
+        {"steps": [{"deleted": None, "reached": [1]}]},
+        [1.5],
+    ],
+)
+def test_sundaram_malformed_steps_exit_1(data, tmp_path, capsys):
+    path = tmp_path / "ssot.json"
+    path.write_text(json.dumps(data))
+    assert main(["sundaram", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate-qyot", "2,1"])
@@ -84,6 +117,13 @@ def test_limit_flag(capsys):
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 3  # header + 2 rows
     assert "14 quasi-Yamanouchi" in out
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    assert main(["vset", "2,1", "5", "--json"]) == 0
+    assert main(["vset", "2,1", "5"]) == 0
+    assert capsys.readouterr().out.endswith("}\n3,2\n3,1,1\n2,2,1\n2,1,1,1\n")
 
 
 def test_threads_hint_accepted(capsys):

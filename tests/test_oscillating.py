@@ -337,9 +337,14 @@ def test_enumerate_ssot_matches_brute_force():
 
 def test_enumerate_ssot_edge_cases():
     assert enumerate_ssot((), 0, 3) == [EMPTY_SSOT]
-    assert enumerate_ssot((), 0, 0) == [EMPTY_SSOT]
-    assert enumerate_ssot((1,), 1, 0) == []
+    assert enumerate_ssot((), 1, 3) == []
     assert len(enumerate_ssot((2, 1), 3, 3)) == 8
+    assert enumerate_ssot((2, 1, 0), 3, 3) == enumerate_ssot((2, 1), 3, 3)
+    for lam, n, k in (((), 0, 0), ((1,), 1, 0), ((1,), -1, 3), ((1, 2), 3, 3)):
+        with pytest.raises(ValueError):
+            enumerate_ssot(lam, n, k)
+        with pytest.raises(ValueError):
+            enumerate_qyot(lam, n, k)
 
 
 def test_replay_matches_enumerated_chains():

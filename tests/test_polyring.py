@@ -1,7 +1,9 @@
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from oscitab.oscillating import com, descent_data, enumerate_qyot, enumerate_ssot
 from oscitab.polyring import (
     SparsePoly,
     f_expansion,
@@ -105,7 +107,8 @@ def test_f_expansion_paper_values():
 
 
 def test_f_expansion_oracle_exhaustive():
-    # generating polynomial equals the fundamental expansion, small shapes
+    # generating polynomial equals the fundamental expansion, small shapes;
+    # both sides come from one descent count, so this checks the F assembly
     for m in range(4):
         for lam in partitions_of(m):
             for n in range(m, m + 5):
@@ -118,6 +121,52 @@ def test_f_expansion_oracle_exhaustive():
                         rhs = rhs + fundamental_qsym(a, k).scale(c)
                     assert lhs == rhs, (lam, n, k)
                     assert all(c > 0 for c in f_expansion(lam, n, k).values())
+
+
+def test_descent_counts_match_enumerators():
+    # the transfer-matrix counts against listed quasi-Yamanouchi SSOTs
+    for m in range(4):
+        for lam in partitions_of(m):
+            for n in range(m, m + 7):
+                qys = enumerate_qyot(lam, n, max(n, 1))
+                for max_step in range(1, n + 1):
+                    listed = Counter(descent_data(Q)[1] for Q in qys if Q.step <= max_step)
+                    got = f_expansion(lam, n, max_step)
+                    assert got == listed, (lam, n, max_step)
+                    assert list(got) == sorted(got, reverse=True)
+
+
+def test_ssot_poly_matches_enumerated_ssots():
+    # the generating polynomial against the letter weights of listed SSOTs
+    for m in range(4):
+        for lam in partitions_of(m):
+            for n in range(m, m + 5):
+                for k in range(1, 5):
+                    weights = Counter(
+                        com(S) + (0,) * (k - len(com(S)))
+                        for S in enumerate_ssot(lam, n, k)
+                    )
+                    assert ssot_poly(lam, n, k) == SparsePoly(k, weights), (lam, n, k)
+
+
+def test_descent_count_edge_cases():
+    assert f_expansion((), 0, 1) == {(): 1}
+    assert ssot_poly((), 0, 3) == SparsePoly.one(3)
+    assert f_expansion((1,), 0, 1) == {}
+    # inadmissible parity or size: an empty answer, not an error
+    assert f_expansion((2, 1), 4, 3) == {}
+    assert f_expansion((2, 1), 1, 3) == {}
+    assert ssot_poly((2, 1), 6, 3).is_zero()
+    assert f_expansion((2, 1, 0), 5, 3) == f_expansion((2, 1), 5, 3)
+    assert ssot_poly((2, 1, 0), 5, 3) == ssot_poly((2, 1), 5, 3)
+
+
+def test_bad_queries_raise():
+    for lam, n, bound in (((2, 1), -1, 3), ((2, 1), 5, 0), ((1, 2), 5, 3), ((2, -1), 5, 3)):
+        with pytest.raises(ValueError):
+            f_expansion(lam, n, bound)
+        with pytest.raises(ValueError):
+            ssot_poly(lam, n, bound)
 
 
 def test_gessel_expansion_of_schur():

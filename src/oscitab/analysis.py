@@ -1,8 +1,11 @@
 """Schur expansions, Hall inner products, independence and Newton-polytope checks.
 
-Everything here is exact: coefficients are integers, linear algebra runs over
-``fractions.Fraction``, and hull membership is decided by a rational
-feasibility search rather than floating-point geometry.
+Everything here is exact: coefficients are integers and linear algebra runs
+over ``fractions.Fraction``.  The saturated-Newton-polytope check decides a
+symmetric homogeneous support by Rado's theorem: its Newton polytope is a
+permutahedron, whose lattice points are the weak compositions whose sorted
+form is dominated by the top exponent.  Other supports fall back to a
+rational feasibility search per lattice point, never floating-point geometry.
 """
 
 from dataclasses import dataclass
@@ -14,6 +17,7 @@ from .shapes import (
     Partition,
     check_partition,
     contains,
+    dominance_leq,
     even_conjugate_partitions,
     in_N,
     partitions_of,
@@ -46,7 +50,7 @@ def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ..
     for nu in partitions_of(n):
         if not contains(lam, nu):
             continue
-        c = sum(lr_coefficient(beta, lam, nu) for beta in betas)
+        c = sum(lr_coefficient(beta, lam, nu) for beta in betas if contains(beta, nu))
         if c:
             items.append((nu, c))
     return tuple(items)
@@ -217,21 +221,52 @@ def _weak_compositions(n: int, k: int):
             yield (first,) + rest
 
 
+def _permutahedron_points(support, degree: int, nvars: int):
+    """Lattice points of the Newton polytope of a homogeneous support, or None.
+
+    When the support is closed under adjacent variable swaps and its
+    lex-largest sorted exponent mu dominates every other sorted exponent, the
+    Newton polytope is the permutahedron P(mu).  By Rado's theorem its lattice
+    points are the weak compositions whose sorted form mu dominates.
+    """
+    for e in support:
+        for i in range(nvars - 1):
+            if e[:i] + (e[i + 1], e[i]) + e[i + 2 :] not in support:
+                return None
+    shapes = {tuple(sorted(e, reverse=True)) for e in support}
+    top = max(shapes)
+    if not all(dominance_leq(s, top) for s in shapes):
+        return None
+    return tuple(
+        p
+        for p in _weak_compositions(degree, nvars)
+        if dominance_leq(tuple(sorted(p, reverse=True)), top)
+    )
+
+
 def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
-    """Saturated-Newton-polytope check: hull lattice points versus support."""
+    """Saturated-Newton-polytope check: hull lattice points versus support.
+
+    A homogeneous support closed under permuting the variables, with one
+    dominance-largest sorted exponent, is decided by the permutahedron test
+    (Rado's theorem).  Any other support falls back to one exact phase-one
+    simplex (``in_convex_hull``) per candidate lattice point.
+    """
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = sorted(f.terms)
+    inside = None
     if f.is_homogeneous():
+        inside = _permutahedron_points(f.terms, f.degree(), f.nvars)
         candidates = _weak_compositions(f.degree(), f.nvars)
     else:
         lo = [min(e[i] for e in support) for i in range(f.nvars)]
         hi = [max(e[i] for e in support) for i in range(f.nvars)]
         candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    inside = tuple(p for p in candidates if in_convex_hull(p, support))
-    support_set = set(support)
+    if inside is None:
+        inside = tuple(p for p in candidates if in_convex_hull(p, support))
     return LatticePolytopeCheck(
         support=tuple(support),
         polytope_points=inside,
-        snp=all(p in support_set for p in inside),
+        snp=all(p in f.terms for p in inside),
     )

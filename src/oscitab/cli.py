@@ -260,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oscitab",
         description="Combinatorics of semistandard oscillating tableaux with exact arithmetic.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; accepted for compatibility, computations run single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):

@@ -301,16 +301,21 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
     return SSOT(tuple(steps))
 
 
-def destandardize(S: SSOT) -> SSOT:
-    """The unique quasi-Yamanouchi tableau with the same standardization."""
-    events = substep_events(S)
-    des = set(descent_positions(events))
+def _block_letters(length: int, des) -> list[int]:
+    """Letters 1, 2, ... for ``length`` steps, one higher after each descent position."""
     letters = []
     block = 1
-    for j in range(1, len(events) + 1):
+    for j in range(1, length + 1):
         letters.append(block)
         if j in des:
             block += 1
+    return letters
+
+
+def destandardize(S: SSOT) -> SSOT:
+    """The unique quasi-Yamanouchi tableau with the same standardization."""
+    events = substep_events(S)
+    letters = _block_letters(len(events), set(descent_positions(events)))
     return ssot_from_events(letters, events.boxes, events.kinds)
 
 
@@ -425,12 +430,7 @@ def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
         des = descent_positions(events)
         if len(des) + 1 > max_step and O.length > 0:
             continue
-        letters = []
-        block = 1
-        for j in range(1, O.length + 1):
-            letters.append(block)
-            if j in des:
-                block += 1
+        letters = _block_letters(O.length, des)
         out.append(ssot_from_events(letters, events.boxes, events.kinds))
     return out
 

@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from oscitab.analysis import (
+    _permutahedron_points,
+    _weak_compositions,
     hall_inner,
     has_snp,
     in_convex_hull,
@@ -201,6 +203,68 @@ def test_has_snp_non_homogeneous():
     check = has_snp(f)
     assert not check.snp
     assert (1,) in check.polytope_points
+
+
+def _lp_points(f):
+    # lattice points of the hull by the LP; a support point lies in its own
+    # hull, so only the other points need a simplex
+    support = list(f.terms)
+    return tuple(
+        p
+        for p in _weak_compositions(f.degree(), f.nvars)
+        if p in f.terms or in_convex_hull(p, support)
+    )
+
+
+def test_has_snp_permutahedron_matches_lp():
+    # the permutahedron test against one phase-one simplex per lattice point,
+    # order included, on every nonzero small SSOT polynomial
+    cases = 0
+    for m in range(4):
+        for lam in partitions_of(m):
+            for n in range(m, m + 5, 2):
+                for k in range(1, 5):
+                    f = ssot_poly(lam, n, k)
+                    if f.is_zero():
+                        continue
+                    assert _permutahedron_points(f.terms, n, k) is not None
+                    check = has_snp(f)
+                    assert check.polytope_points == _lp_points(f), (lam, n, k)
+                    assert check.snp, (lam, n, k)
+                    cases += 1
+    assert cases == 64
+    # a symmetric support decides the polytope whatever the coefficients
+    f = SparsePoly(2, {(2, 0): 1, (0, 2): 3})
+    assert has_snp(f).polytope_points == _lp_points(f) == ((2, 0), (1, 1), (0, 2))
+
+
+def test_has_snp_fallbacks_match_lp():
+    not_symmetric = SparsePoly(2, {(2, 1): 1})
+    # the orbits of (3,3,0) and (4,1,1): neither shape dominates the other
+    no_top = SparsePoly(
+        3,
+        {(3, 3, 0): 1, (3, 0, 3): 1, (0, 3, 3): 1, (4, 1, 1): 1, (1, 4, 1): 1, (1, 1, 4): 1},
+    )
+    for f in (not_symmetric, no_top):
+        assert _permutahedron_points(f.terms, f.degree(), f.nvars) is None
+        assert has_snp(f).polytope_points == _lp_points(f)
+    check = has_snp(no_top)
+    assert (2, 2, 2) in check.polytope_points and not check.snp
+    # non-homogeneous: the LP runs over the bounding box of the support
+    f = SparsePoly(2, {(0, 0): 1, (1, 1): 1, (2, 0): 1, (0, 2): 1})
+    box = [(a, b) for a in range(3) for b in range(3)]
+    check = has_snp(f)
+    assert check.polytope_points == tuple(p for p in box if in_convex_hull(p, f.terms))
+    assert (1, 0) in check.polytope_points and not check.snp
+
+
+def test_has_snp_few_variables():
+    check = has_snp(SparsePoly(0, {(): 5}))
+    assert check.polytope_points == _lp_points(SparsePoly(0, {(): 5})) == ((),)
+    assert check.snp
+    check = has_snp(SparsePoly(1, {(4,): 1}))
+    assert check.polytope_points == _lp_points(SparsePoly(1, {(4,): 1})) == ((4,),)
+    assert check.snp
 
 
 def test_threshold_shape_small():

@@ -127,8 +127,11 @@ def test_parser_is_built_once(capsys):
 
 
 def test_threads_hint_accepted(capsys):
-    assert main(["--threads", "4", "n0", "3", "1,1,1"]) == 0
-    assert capsys.readouterr().out == "7\n"
+    # the option changed nothing and was removed, so it is now a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "n0", "3", "1,1,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sundaram_without_trace(capsys):

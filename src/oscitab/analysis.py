@@ -15,11 +15,11 @@ from itertools import product
 
 from .shapes import (
     Partition,
+    check_in_N,
     check_partition,
     contains,
     dominance_leq,
     even_conjugate_partitions,
-    in_N,
     partitions_of,
     trim,
     v_set,
@@ -28,18 +28,12 @@ from .tableaux import lr_coefficient
 from .polyring import SparsePoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchurExpansion:
     """Nonnegative integer combination of Schur functions of one degree."""
 
     degree: int
     coefficients: dict[Partition, int]
-
-
-def _parity_error(lam: Partition, n: int) -> ValueError:
-    return ValueError(
-        f"{n} not admissible for {tuple(lam)}: need n >= |lam| and n == |lam| (mod 2)"
-    )
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +57,7 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     partitions beta of n - |lam| with even conjugate.
     """
     lam = check_partition(trim(lam))
-    if not in_N(lam, n):
-        raise _parity_error(lam, n)
+    check_in_N(lam, n)
     return SchurExpansion(n, dict(_ssot_schur_items(lam, n)))
 
 
@@ -73,8 +66,7 @@ def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
     lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    if not in_N(lam, n):
-        raise _parity_error(lam, n)
+    check_in_N(lam, n)
     left = dict(_ssot_schur_items(lam, n))
     right = dict(_ssot_schur_items(mu, n))
     return sum(c * right.get(nu, 0) for nu, c in left.items())
@@ -130,8 +122,9 @@ def rational_rank(matrix) -> int:
 
 def independence_rank(m: int, n: int) -> int:
     """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``."""
-    if not (n >= m and (n - m) % 2 == 0):
-        raise _parity_error((1,) * m if m else (), n)
+    if m < 0:
+        raise ValueError(f"size must be nonnegative, got {m}")
+    check_in_N((1,) * m, n)
     lams = partitions_of(m)
     nus = partitions_of(n)
     index = {nu: j for j, nu in enumerate(nus)}
@@ -199,7 +192,7 @@ def in_convex_hull(point, points) -> bool:
     return infeasibility == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticePolytopeCheck:
     """Support, lattice points of its hull, and whether the two sets agree."""
 

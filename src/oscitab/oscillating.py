@@ -17,6 +17,7 @@ from .shapes import (
     add_box,
     addable_boxes,
     check_partition,
+    check_shape_query,
     horizontal_strip_boxes,
     in_N,
     is_horizontal_strip,
@@ -24,7 +25,6 @@ from .shapes import (
     northeast,
     remove_box,
     removable_boxes,
-    trim,
 )
 
 ADD = "add"
@@ -348,20 +348,19 @@ def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
     ``ValueError``.  An inadmissible length is not an error: its answer is
     empty.
     """
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
     if bound < 1:
         raise ValueError(f"{bound_name} must be at least 1, got {bound}")
-    return check_partition(trim(lam))
+    return check_shape_query(lam, n)
 
 
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     """All oscillating tableaux of the given shape and length, in a fixed order.
 
     Successors are explored deletions first (rightmost box first), then
-    additions left to right.
+    additions left to right.  A non-partition shape and a negative length
+    raise ``ValueError``; an inadmissible length gives an empty list.
     """
-    lam = trim(lam)
+    lam = check_shape_query(lam, n)
     m = sum(lam)
     if not in_N(lam, n):
         return []

@@ -5,12 +5,14 @@ Serialization order is graded lexicographic, largest first.
 """
 
 from itertools import accumulate, combinations
+from types import MappingProxyType
 
 from .shapes import (
     Composition,
     Partition,
     add_box,
     addable_boxes,
+    check_partition,
     in_N,
     is_strong,
     remove_box,
@@ -18,26 +20,47 @@ from .shapes import (
     trim,
 )
 from .oscillating import ADD, DELETE, check_tableau_query, is_descent
-from .tableaux import ssyt_of_shape, weight
 
 
 class SparsePoly:
-    """Multivariate polynomial with exact integer coefficients."""
+    """Immutable multivariate polynomial with exact integer coefficients.
 
-    __slots__ = ("nvars", "terms")
+    ``terms`` is a read-only mapping from exponent tuples to nonzero
+    coefficients.
+    """
 
-    def __init__(self, nvars: int, terms=None):
+    __slots__ = ("_nvars", "_terms")
+
+    def __new__(cls, nvars: int, terms=None):
+        checked = {}
+        for exp, coef in dict(terms or {}).items():
+            exp = tuple(exp)
+            if len(exp) != nvars or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
+            checked[exp] = coef
+        return cls._of(nvars, checked)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "SparsePoly":
+        """Polynomial from exponent tuples already known to fit ``nvars``; zero coefficients are dropped."""
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exp, coef in dict(terms).items():
-                exp = tuple(exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-                if coef:
-                    self.terms[exp] = coef
+        out = object.__new__(cls)
+        out._nvars = nvars
+        out._terms = MappingProxyType({exp: c for exp, c in terms.items() if c})
+        return out
+
+    @property
+    def nvars(self) -> int:
+        return self._nvars
+
+    @property
+    def terms(self) -> MappingProxyType:
+        return self._terms
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the public constructor
+        return SparsePoly, (self._nvars, dict(self._terms))
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -63,8 +86,8 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._nvars == other._nvars
+            and self._terms == other._terms
         )
 
     def __hash__(self):
@@ -80,62 +103,33 @@ class SparsePoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
-            new = terms.get(exp, 0) + coef
-            if new:
-                terms[exp] = new
-            else:
-                terms.pop(exp, None)
-        out = SparsePoly(self.nvars)
-        out.terms = terms
-        return out
+            terms[exp] = terms.get(exp, 0) + coef
+        return SparsePoly._of(self.nvars, terms)
 
     def __neg__(self) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        out.terms = {exp: -coef for exp, coef in self.terms.items()}
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def scale(self, c: int) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        if c:
-            out.terms = {exp: c * coef for exp, coef in self.terms.items()}
-        return out
+        return SparsePoly._of(self.nvars, {exp: c * coef for exp, coef in self.terms.items()})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compatible(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exp, 0) + c1 * c2
-                if new:
-                    terms[exp] = new
-                else:
-                    terms.pop(exp, None)
-        out = SparsePoly(self.nvars)
-        out.terms = terms
-        return out
+        return self.truncated_mul(other, None)
 
-    def truncated_mul(self, other: "SparsePoly", maxdeg: int) -> "SparsePoly":
-        """Product with all terms of total degree above ``maxdeg`` dropped."""
+    def truncated_mul(self, other: "SparsePoly", maxdeg: int | None) -> "SparsePoly":
+        """Product with all terms of total degree above ``maxdeg`` dropped (none when ``None``)."""
         self._check_compatible(other)
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
             for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > maxdeg:
+                if maxdeg is not None and d1 + sum(e2) > maxdeg:
                     continue
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exp, 0) + c1 * c2
-                if new:
-                    terms[exp] = new
-                else:
-                    terms.pop(exp, None)
-        out = SparsePoly(self.nvars)
-        out.terms = terms
-        return out
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return SparsePoly._of(self.nvars, terms)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -209,15 +203,13 @@ def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     b = trim(b)
     if not is_strong(b):
         raise ValueError("monomial quasi-symmetric functions are indexed by strong compositions")
-    out = SparsePoly(k)
-    if len(b) > k:
-        return out
+    terms = {}
     for positions in combinations(range(k), len(b)):
         exp = [0] * k
         for pos, value in zip(positions, b):
             exp[pos] = value
-        out.terms[tuple(exp)] = 1
-    return out
+        terms[tuple(exp)] = 1
+    return SparsePoly._of(k, terms)
 
 
 def _add_fundamental(terms: dict, a: Composition, k: int, coef: int) -> None:
@@ -249,29 +241,37 @@ def _add_fundamental(terms: dict, a: Composition, k: int, coef: int) -> None:
     rec(0, 0, 0)
 
 
+def _from_f_coefficients(coefficients: dict[Composition, int], k: int) -> SparsePoly:
+    """The polynomial ``sum_a c_a F_a(x_1..x_k)`` of F-coefficients ``{a: c_a}``."""
+    terms: dict[tuple[int, ...], int] = {}
+    for a, c in coefficients.items():
+        _add_fundamental(terms, a, k, c)
+    return SparsePoly._of(k, terms)
+
+
 def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
     """Fundamental quasi-symmetric polynomial: the sum of ``M_b`` over all refinements ``b`` of ``a``."""
     a = trim(a)
     if not is_strong(a):
         raise ValueError("fundamental quasi-symmetric functions are indexed by strong compositions")
-    out = SparsePoly(k)
-    _add_fundamental(out.terms, a, k, 1)
-    return out
+    return _from_f_coefficients({a: 1}, k)
 
 
 def schur_poly(lam: Partition, k: int) -> SparsePoly:
-    """Generating polynomial of semistandard tableaux of shape ``lam``, entries <= k."""
+    """Generating polynomial of the SSYT of shape ``lam`` with entries <= k.
+
+    Gessel's expansion ``s_lam = sum_{T in SYT(lam)} F_{des T}``, with the
+    SYT counted by descent composition as the OTs of length ``|lam|``, which
+    add a box at every step.
+    """
     if k < 1:
         raise ValueError("schur polynomials need at least one variable")
-    out = SparsePoly(k)
-    for T in ssyt_of_shape(tuple(lam), k):
-        exp = weight(T, k)
-        out.terms[exp] = out.terms.get(exp, 0) + 1
-    return out
+    lam = check_partition(trim(lam))
+    return _from_f_coefficients(_descent_counts(lam, sum(lam), k), k)
 
 
 def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
-    """Oscillating tableaux of shape ``lam`` and length ``n`` counted by descent composition.
+    """OTs of shape ``lam`` and length ``n`` counted by descent composition.
 
     Transfer-matrix method (Stanley, EC1 4.7): whether events j and j+1 are
     split by a descent depends on those two events only, so the OTs are
@@ -338,21 +338,18 @@ def ssot_poly(lam: Partition, n: int, k: int) -> SparsePoly:
     """Generating polynomial of SSOTs of shape ``lam``, length ``n``, letters <= k.
 
     Gessel's expansion: the sum of ``c_a F_a(x_1..x_k)`` over the descent
-    compositions ``a`` of the oscillating tableaux, ``c_a`` of them each.
+    compositions ``a`` of the OTs, ``c_a`` of them each.
     """
     lam = check_tableau_query(lam, n, k, "k")
-    out = SparsePoly(k)
-    for a, c in _descent_counts(lam, n, k).items():
-        _add_fundamental(out.terms, a, k, c)
-    return out
+    return _from_f_coefficients(_descent_counts(lam, n, k), k)
 
 
 def f_expansion(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
     """Multiplicity of each descent composition over the quasi-Yamanouchi SSOTs.
 
-    Equivalently, the oscillating tableaux of shape ``lam`` and length ``n``
-    counted by descent composition, kept when it has at most ``max_step``
-    parts; sorted lexicographically descending.
+    Equivalently, the OTs of shape ``lam`` and length ``n`` counted by
+    descent composition, kept when it has at most ``max_step`` parts; sorted
+    lexicographically descending.
     """
     lam = check_tableau_query(lam, n, max_step, "max_step")
     return dict(sorted(_descent_counts(lam, n, max_step).items(), reverse=True))
@@ -367,12 +364,12 @@ def littlewood_truncated(k: int, maxdeg: int) -> SparsePoly:
     total = SparsePoly.one(k)
     for i in range(k):
         for j in range(i + 1, k):
-            factor = SparsePoly(k)
+            series = {}
             for t in range(0, maxdeg // 2 + 1):
                 exp = [0] * k
                 exp[i] = exp[j] = t
-                factor.terms[tuple(exp)] = 1
-            total = total.truncated_mul(factor, maxdeg)
+                series[tuple(exp)] = 1
+            total = total.truncated_mul(SparsePoly._of(k, series), maxdeg)
     return total
 
 
@@ -409,8 +406,8 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
         pivots = [e for e in g.terms if all(e[i] >= e[i + 1] for i in range(len(e) - 1))]
         # a nonzero symmetric polynomial always has a partition exponent
         pivot = max(pivots)
-        coef = g.terms[pivot]
+        coef = g.coefficient(pivot)
         nu = trim(pivot)
         out[nu] = coef
-        g = g - schur_poly(nu, f.nvars).scale(coef)
+        g = g + schur_poly(nu, f.nvars).scale(-coef)
     return dict(sorted(out.items(), reverse=True))

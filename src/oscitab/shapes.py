@@ -139,6 +139,21 @@ def in_N(lam: Partition, n: int) -> bool:
     return n >= m and (n - m) % 2 == 0
 
 
+def check_in_N(lam: Partition, n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` is an admissible length for ``lam`` (see ``in_N``)."""
+    if not in_N(lam, n):
+        raise ValueError(
+            f"{n} not admissible for {tuple(lam)}: need n >= |lam| and n == |lam| (mod 2)"
+        )
+
+
+def check_shape_query(lam, n: int) -> Partition:
+    """The shape without trailing zeros; ``ValueError`` for a non-partition or ``n < 0``."""
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
+    return check_partition(trim(lam))
+
+
 def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
     """All partitions obtained from ``lam`` by adding one vertical strip of ``size`` boxes."""
     results: list[Partition] = []
@@ -170,9 +185,7 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     Breadth-first closure over single strip additions; empty when the parity
     or size constraint fails, and a ``ValueError`` for a negative ``n``.
     """
-    lam = check_partition(lam) if lam else ()
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
+    lam = check_shape_query(lam, n)
     if not in_N(lam, n):
         return ()
     seen = {lam}
@@ -192,10 +205,8 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
 
 def lambda_bar(lam: Partition, n: int) -> Partition:
     """The dominance-maximum of ``v_set(lam, n)``: add (n-|lam|)/2 to the top two rows."""
-    if not in_N(lam, n):
-        raise ValueError(
-            f"{n} not admissible for {lam}: need n >= |lam| and n == |lam| (mod 2)"
-        )
+    lam = check_partition(trim(lam))
+    check_in_N(lam, n)
     r = (n - sum(lam)) // 2
     padded = lam + (0,) * max(0, 2 - len(lam))
     return trim((padded[0] + r, padded[1] + r) + padded[2:])

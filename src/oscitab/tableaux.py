@@ -10,10 +10,12 @@ from .shapes import (
     Box,
     Composition,
     Partition,
+    check_partition,
     contains,
     is_partition,
     northeast,
     part,
+    trim,
 )
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -201,10 +203,7 @@ def is_reverse_yamanouchi(word) -> bool:
 
 def ssyt_of_shape(lam: Partition, max_entry: int):
     """Yield all semistandard tableaux of shape ``lam`` with entries <= max_entry."""
-    lam = tuple(lam)
-    if not lam:
-        yield EMPTY
-        return
+    lam = check_partition(trim(lam))
     if len(lam) > max_entry:
         return
     rows: list[list[int]] = []

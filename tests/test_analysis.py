@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations_with_replacement
 
 import pytest
@@ -27,6 +28,8 @@ def test_ssot_schur_paper_example():
         (2, 2, 1): 1,
         (2, 1, 1, 1): 1,
     }
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expansion.degree = 7
 
 
 def test_ssot_schur_trivial_degree():
@@ -132,8 +135,9 @@ def test_independence_rank_examples():
     assert independence_rank(3, 5) == 3
     assert independence_rank(1, 1) == 1
     assert independence_rank(4, 6) == 5
-    with pytest.raises(ValueError):
-        independence_rank(3, 4)
+    for m, n in ((3, 4), (-1, 1), (-2, 0)):
+        with pytest.raises(ValueError):
+            independence_rank(m, n)
 
 
 def test_in_convex_hull():
@@ -186,6 +190,9 @@ def test_has_snp_examples():
     check = has_snp(ssot_poly((2, 1), 5, 3))
     assert check.snp
     assert set(check.support) == set(check.polytope_points)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.snp = False
+    assert not dataclasses.replace(check, snp=False).snp
 
     assert has_snp(SparsePoly(2, {(2, 1): 1})).snp
 

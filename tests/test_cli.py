@@ -77,6 +77,7 @@ def test_domain_error_exit_code(capsys):
         ["enumerate-qyot", "2,1", "-1", "3"],
         ["ssot-poly", "2,1", "5", "0"],
         ["vset", "2,1", "-3"],
+        ["independence", "-1", "1"],
     ],
 )
 def test_out_of_range_arguments_exit_1(argv, capsys):

@@ -345,6 +345,9 @@ def test_enumerate_ssot_edge_cases():
             enumerate_ssot(lam, n, k)
         with pytest.raises(ValueError):
             enumerate_qyot(lam, n, k)
+    for lam, n in (((1, 2), 3), ((2, 1), -1)):
+        with pytest.raises(ValueError):
+            enumerate_ot(lam, n)
 
 
 def test_replay_matches_enumerated_chains():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import product
 
@@ -20,9 +22,10 @@ from oscitab.shapes import (
     flat,
     in_N,
     partitions_of,
+    ref_set,
     trim,
 )
-from oscitab.tableaux import des_syt, enumerate_syt
+from oscitab.tableaux import des_syt, enumerate_syt, ssyt_of_shape, weight
 
 
 def poly_from_pairs(k, pairs):
@@ -37,9 +40,14 @@ def test_ring_operations():
     f = one + x1 * x2
     assert f.truncated_mul(f, 2) == poly_from_pairs(2, {(0, 0): 1, (1, 1): 2})
     assert f * one == f
+    g = f + x1.scale(3) - x2
+    assert f * g == f.truncated_mul(g, 100)
     assert (f - f).is_zero()
     with pytest.raises(ValueError):
         x1 + SparsePoly.variable(0, 3)
+    for nvars, terms in ((-1, {}), (2, {(1,): 1}), (2, {(1, -1): 1})):
+        with pytest.raises(ValueError):
+            SparsePoly(nvars, terms)
 
 
 def test_poly_json_round_trip():
@@ -59,6 +67,8 @@ def test_monomial_qsym():
             expected[c] = 1
     assert monomial_qsym((2, 1), 3) == poly_from_pairs(3, expected)
     assert monomial_qsym((2, 1), 1).is_zero()
+    with pytest.raises(ValueError):
+        monomial_qsym((), -1)
 
 
 def test_fundamental_qsym():
@@ -67,6 +77,16 @@ def test_fundamental_qsym():
     assert fundamental_qsym((3, 2), 3).coefficient((3, 2, 0)) == 1
     assert not fundamental_qsym((2, 1), 2).is_zero()
     assert fundamental_qsym((1, 1, 1), 2).is_zero()
+    with pytest.raises(ValueError):
+        fundamental_qsym((), -1)
+    # the definition, kept apart from the walk shared with schur_poly and ssot_poly
+    for m in range(6):
+        for a in ref_set((m,)):
+            for k in range(1, 5):
+                total = SparsePoly(k)
+                for b in ref_set(a):
+                    total = total + monomial_qsym(b, k)
+                assert fundamental_qsym(a, k) == total, (a, k)
 
 
 def test_schur_poly():
@@ -77,6 +97,31 @@ def test_schur_poly():
     assert is_symmetric(f)
     assert schur_poly((1, 1, 1), 2).is_zero()
     assert schur_poly((), 2) == SparsePoly.one(2)
+    assert schur_poly((2, 1, 0), 2) == schur_poly((2, 1), 2)
+    for lam, k in (((1, 2), 3), ((2, -1), 3), ((2, 1), 0)):
+        with pytest.raises(ValueError):
+            schur_poly(lam, k)
+
+
+def test_schur_poly_matches_ssyt_weights():
+    # Gessel's walk against listed semistandard tableaux, an independent oracle
+    for m in range(6):
+        for lam in partitions_of(m):
+            for k in range(1, 6):
+                weights = Counter(weight(T, k) for T in ssyt_of_shape(lam, k))
+                assert schur_poly(lam, k) == SparsePoly(k, weights), (lam, k)
+
+
+def test_values_are_immutable():
+    f = ssot_poly((2, 1), 5, 3)
+    with pytest.raises(TypeError):
+        f.terms[(5, 0, 0)] = 1
+    with pytest.raises(AttributeError):
+        f.nvars = 4
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    assert f == ssot_poly((2, 1), 5, 3) and hash(f) == hash(ssot_poly((2, 1), 5, 3))
+    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
 
 
 def test_ssot_poly_examples():

@@ -158,6 +158,7 @@ def test_v_set_paper_examples():
     assert v_set((2, 1), 5) == ((3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1))
     assert v_set((2, 1), 3) == ((2, 1),)
     assert v_set((2, 1), 4) == ()
+    assert v_set((2, 1, 0), 5) == v_set((2, 1), 5)
 
 
 def test_v_set_similarity_examples():
@@ -179,8 +180,9 @@ def test_lambda_bar():
     assert lambda_bar((2, 1), 5) == (3, 2)
     assert lambda_bar((3,), 7) == (5, 2)
     assert lambda_bar((2, 1), 3) == (2, 1)
-    with pytest.raises(ValueError):
-        lambda_bar((2, 1), 4)
+    for lam, n in (((2, 1), 4), ((1, 2), 5), ((2, 1), -1)):
+        with pytest.raises(ValueError):
+            lambda_bar(lam, n)
 
 
 def test_lambda_bar_is_dominance_max():

@@ -204,6 +204,8 @@ def test_ssyt_enumeration_count():
     assert sum(1 for _ in ssyt_of_shape((2, 1), 3)) == 8
     assert list(ssyt_of_shape((), 3)) == [EMPTY]
     assert list(ssyt_of_shape((1, 1, 1), 2)) == []
+    with pytest.raises(ValueError):
+        list(ssyt_of_shape((1, 2), 3))
 
 
 def test_syt_counts_match_hook_formula_values():

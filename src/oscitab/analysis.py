@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .shapes import (
     Partition,
@@ -30,10 +31,13 @@ from .polyring import SparsePoly
 
 @dataclass(frozen=True)
 class SchurExpansion:
-    """Nonnegative integer combination of Schur functions of one degree."""
+    """Nonnegative integer combination of Schur functions of one degree.
+
+    ``coefficients`` is a read-only mapping from partitions to coefficients.
+    """
 
     degree: int
-    coefficients: dict[Partition, int]
+    coefficients: MappingProxyType
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +62,7 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     """
     lam = check_partition(trim(lam))
     check_in_N(lam, n)
-    return SchurExpansion(n, dict(_ssot_schur_items(lam, n)))
+    return SchurExpansion(n, MappingProxyType(dict(_ssot_schur_items(lam, n))))
 
 
 def hall_inner(lam: Partition, mu: Partition, n: int) -> int:

@@ -9,10 +9,11 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
-from .oscillating import SSOT, descent_data, render_boxes, run_of
+from .oscillating import SSOT, Run, descent_composition, render_boxes
 from .shapes import Partition, v_set
 
 
@@ -54,6 +55,16 @@ def emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def emit_json_items(head: dict, key: str, items) -> None:
+    """Print ``emit_json({**head, key: list(items)})`` one item at a time, in the same bytes."""
+    text = json.dumps({**head, key: []}, indent=2)
+    separator = text[: -len("[]\n}")] + "["  # the key comes last, so its empty list ends the text
+    for item in items:
+        sys.stdout.write(separator + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+        separator = ","
+    sys.stdout.write("\n  ]\n}\n" if separator == "," else text + "\n")
+
+
 def load_ssot(path: str) -> SSOT:
     try:
         with open(path) as fh:
@@ -67,33 +78,28 @@ def load_ssot(path: str) -> SSOT:
 
 def cmd_enumerate_qyot(args) -> None:
     lam = parse_partition(args.partition)
-    tableaux = oscillating.enumerate_qyot(lam, args.n, args.k)
-    if args.limit is not None:
-        listed = tableaux[: args.limit]
-    else:
-        listed = tableaux
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {args.limit}")
+    count = sum(polyring.f_expansion(lam, args.n, args.k).values())
+    listed = islice(oscillating.walk_qyot(lam, args.n, args.k), args.limit)
     if args.json:
-        emit_json(
-            {
-                "partition": list(lam),
-                "length": args.n,
-                "max_step": args.k,
-                "count": len(tableaux),
-                "tableaux": [
-                    {
-                        "steps": oscillating.ssot_to_dict(Q)["steps"],
-                        "boxes": render_boxes(Q),
-                        "run": str(run_of(Q)),
-                        "descent_composition": list(descent_data(Q)[1]),
-                    }
-                    for Q in listed
-                ],
-            }
+        emit_json_items(
+            {"partition": list(lam), "length": args.n, "max_step": args.k, "count": count},
+            "tableaux",
+            (
+                {
+                    "steps": oscillating.ssot_to_dict(Q)["steps"],
+                    "boxes": render_boxes(events),
+                    "run": str(Run(events.profile, frozenset(des))),
+                    "descent_composition": list(descent_composition(des, args.n)),
+                }
+                for Q, events, des in listed
+            ),
         )
         return
-    print(f"{len(tableaux)} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
-    for Q in listed:
-        print(f"{fmt_tableau(render_boxes(Q)):<32} {run_of(Q)}")
+    print(f"{count} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
+    for _, events, des in listed:
+        print(f"{fmt_tableau(render_boxes(events)):<32} {Run(events.profile, frozenset(des))}")
 
 
 def cmd_expand_f(args) -> None:

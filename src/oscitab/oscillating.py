@@ -9,6 +9,8 @@ additions left-to-right.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterator
 
 from .shapes import (
     Box,
@@ -49,6 +51,13 @@ class OscillatingTableau:
             small, big = (a, b) if sum(a) < sum(b) else (b, a)
             if not _one_box_apart(small, big):
                 raise ValueError(f"chain step {j} does not change exactly one box")
+
+    @classmethod
+    def _of(cls, chain: tuple[Partition, ...]) -> "OscillatingTableau":
+        """Tableau from a chain of partition tuples already known to be valid."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "chain", chain)
+        return out
 
     @property
     def shape(self) -> Partition:
@@ -141,6 +150,13 @@ class SSOT:
             if deleted == before and reached == deleted:
                 raise ValueError("the last step must change the shape")
 
+    @classmethod
+    def _of(cls, steps: tuple[tuple[Partition, Partition], ...]) -> "SSOT":
+        """SSOT from steps of partition tuples already known to satisfy the invariants."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "steps", steps)
+        return out
+
     @property
     def shape(self) -> Partition:
         return self.steps[-1][1] if self.steps else ()
@@ -214,11 +230,13 @@ def replay_events(boxes, kinds) -> tuple[Partition, ...]:
 
 
 def _events_of(x) -> EventTrace:
+    if isinstance(x, EventTrace):
+        return x
     if isinstance(x, SSOT):
         return substep_events(x)
     if isinstance(x, OscillatingTableau):
         return ot_events(x)
-    raise TypeError(f"expected SSOT or OscillatingTableau, got {type(x).__name__}")
+    raise TypeError(f"expected SSOT, OscillatingTableau or EventTrace, got {type(x).__name__}")
 
 
 def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
@@ -244,15 +262,18 @@ def descent_positions(events: EventTrace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def descent_data(x) -> tuple[frozenset[int], Composition, int]:
-    """Descent set, descent composition and step count of an OT or SSOT."""
-    events = _events_of(x)
-    n = len(events)
+def descent_composition(des, n: int) -> Composition:
+    """Lengths of the runs that the descent positions ``des`` cut ``n`` events into."""
     if n == 0:
-        return frozenset(), (), 0
+        return ()
+    return tuple(b - a for a, b in zip((0, *des), (*des, n)))
+
+
+def descent_data(x) -> tuple[frozenset[int], Composition, int]:
+    """Descent set, descent composition and step count of an OT, SSOT or event trace."""
+    events = _events_of(x)
     des = descent_positions(events)
-    cuts = list(des) + [n]
-    comp = tuple(b - a for a, b in zip([0] + cuts, cuts))
+    comp = descent_composition(des, len(events))
     return frozenset(des), comp, len(comp)
 
 
@@ -298,7 +319,10 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
             prev_box = box
             j += 1
         steps.append((deleted, current))
-    return SSOT(tuple(steps))
+    # the checks above imply the SSOT invariants: deletions moving left and
+    # additions moving right are horizontal strips, letter 1 has nothing to
+    # delete, and the top letter's events change the shape
+    return SSOT._of(tuple(steps))
 
 
 def _block_letters(length: int, des) -> list[int]:
@@ -353,6 +377,126 @@ def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
     return check_shape_query(lam, n)
 
 
+def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Partition, int]]:
+    """Every event from ``shape``: its kind, its box, the shape it reaches and that shape's distance to ``lam``.
+
+    Deletions come first, rightmost box first, then additions left to right.
+    The distance is the number of one-box moves from a shape to ``lam``:
+    down to their intersection, then up.
+    """
+    size = sum(lam)
+    out = []
+    for kind, boxes, step in (
+        (DELETE, removable_boxes(shape), remove_box),
+        (ADD, addable_boxes(shape), add_box),
+    ):
+        for box in boxes:
+            nxt = step(shape, box)
+            out.append((kind, box, nxt, sum(nxt) + size - 2 * sum(map(min, nxt, lam))))
+    return out
+
+
+def _walk(lam: Partition, n: int, max_parts: int):
+    """Depth-first walk over the OTs of shape ``lam`` and length ``n`` with at most ``max_parts`` runs.
+
+    Yields ``(chain, boxes, kinds, des)`` once per OT, ``des`` being its
+    descent positions, decided by ``is_descent`` as the walk goes.  As in the
+    descent-count DP, a branch is dropped when its shape is further from
+    ``lam`` than the events left, or when a descent would make more than
+    ``max_parts`` runs, so every branch taken ends in an OT that is yielded.
+    ``lam`` must be a partition and ``n`` nonnegative.
+    """
+    if not in_N(lam, n):
+        return
+    moves: dict[Partition, list] = {}
+    chain: list[Partition] = [()]
+    boxes: list[Box] = []
+    kinds: list[str] = []
+    des: list[int] = []
+
+    def rec(left: int):
+        if left == 0:
+            yield tuple(chain), tuple(boxes), tuple(kinds), tuple(des)
+            return
+        shape = chain[-1]
+        options = moves.get(shape) or moves.setdefault(shape, one_box_moves(shape, lam))
+        t = len(boxes)
+        for kind, box, nxt, dist in options:
+            if dist >= left:
+                continue
+            descends = t > 0 and is_descent(kinds[-1], boxes[-1], kind, box)
+            if descends:
+                if len(des) + 2 > max_parts:
+                    continue
+                des.append(t)
+            chain.append(nxt)
+            boxes.append(box)
+            kinds.append(kind)
+            yield from rec(left - 1)
+            chain.pop()
+            boxes.pop()
+            kinds.pop()
+            if descends:
+                des.pop()
+
+    yield from rec(n)
+
+
+def _steps(chain, dels, ends) -> tuple[tuple[Partition, Partition], ...]:
+    """Steps of the SSOT whose letter blocks of events end at the positions ``ends``.
+
+    A block deletes before it adds, so the block of events ``start..end-1``
+    deletes down to ``chain[start + its deletions]`` and reaches
+    ``chain[end]``; an empty block is the step ``(chain[end], chain[end])``.
+    ``dels[j]`` counts the deletions among the first ``j`` events.
+    """
+    steps = []
+    start = 0
+    for end in ends:
+        steps.append((chain[start + dels[end] - dels[start]], chain[end]))
+        start = end
+    return tuple(steps)
+
+
+def _deletions(kinds) -> list[int]:
+    """Deletions among the first ``j`` events, for every ``j``."""
+    return list(accumulate((kind == DELETE for kind in kinds), initial=0))
+
+
+def _fiber_ends(n: int, des, max_letter: int):
+    """Letter-block ends of the relabelings of an OT with descent positions ``des``.
+
+    The relabelings are the weakly increasing words in ``1..max_letter``
+    that strictly increase at the descents.  Letter ``v`` labels the events
+    from the end of block ``v-1`` up to ``ends[v-1]``; a block may be empty,
+    except the last.  Words come in lexicographic order, so a block is
+    tried longest first.
+    """
+    if n == 0:
+        yield ()
+        return
+    reach = [n] * n  # reach[j]: the first descent after event j, where a block from j must end
+    later = [0] * n  # later[j]: the descents after event j, each of which needs one more letter
+    for j in range(n - 2, -1, -1):
+        if j + 1 in des:
+            reach[j], later[j] = j + 1, later[j + 1] + 1
+        else:
+            reach[j], later[j] = reach[j + 1], later[j + 1]
+    ends: list[int] = []
+
+    def rec(j: int, v: int):
+        # letters below v label the events before j
+        for end in range(reach[j], j - 1, -1):
+            if end == n:
+                yield (*ends, n)
+            elif v + 1 + later[end] <= max_letter:
+                ends.append(end)
+                yield from rec(end, v + 1)
+                ends.pop()
+
+    yield from rec(0, 1)
+
+
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     """All oscillating tableaux of the given shape and length, in a fixed order.
 
@@ -361,82 +505,56 @@ def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     raise ``ValueError``; an inadmissible length gives an empty list.
     """
     lam = check_shape_query(lam, n)
-    m = sum(lam)
-    if not in_N(lam, n):
-        return []
-    out: list[OscillatingTableau] = []
-    chain: list[Partition] = [()]
-
-    def rec(current: Partition, remaining: int):
-        if remaining == 0:
-            if current == lam:
-                out.append(OscillatingTableau(tuple(chain)))
-            return
-        candidates = [remove_box(current, b) for b in removable_boxes(current)]
-        candidates += [add_box(current, b) for b in addable_boxes(current)]
-        for nxt in candidates:
-            if abs(sum(nxt) - m) > remaining - 1:
-                continue
-            chain.append(nxt)
-            rec(nxt, remaining - 1)
-            chain.pop()
-
-    rec((), n)
-    return out
-
-
-def _labelings(n: int, strict_after: set[int], kmax: int):
-    """Weakly increasing words in 1..kmax, strictly increasing after marked positions."""
-    word: list[int] = []
-
-    def rec(j: int, lo: int):
-        if j == n:
-            yield tuple(word)
-            return
-        for v in range(lo, kmax + 1):
-            word.append(v)
-            yield from rec(j + 1, v + 1 if (j + 1) in strict_after else v)
-            word.pop()
-
-    if n == 0:
-        yield ()
-    else:
-        yield from rec(0, 1)
+    return [OscillatingTableau._of(chain) for chain, _, _, _ in _walk(lam, n, n)]
 
 
 def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
     """All SSOTs of the given shape and length using letters at most ``max_letter``.
 
-    Grouped by standardization: for each oscillating tableau, the fiber is
-    the set of weakly increasing relabelings that are strict at descents.
+    Grouped by standardization, in ``enumerate_ot``'s order: for each
+    oscillating tableau, the fiber is the set of weakly increasing
+    relabelings that are strict at descents, in lexicographic order.  One
+    walk lists the tableaux and their descents, skipping those with more
+    descents than the letters allow.
     """
     lam = check_tableau_query(lam, n, max_letter, "max_letter")
     out: list[SSOT] = []
-    for O in enumerate_ot(lam, n):
-        events = ot_events(O)
-        des = set(descent_positions(events))
-        for u in _labelings(O.length, des, max_letter):
-            out.append(ssot_from_events(u, events.boxes, events.kinds))
+    for chain, _, kinds, des in _walk(lam, n, max_letter):
+        dels = _deletions(kinds)
+        out.extend(SSOT._of(_steps(chain, dels, ends)) for ends in _fiber_ends(n, set(des), max_letter))
     return out
+
+
+def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, EventTrace, tuple[int, ...]]]:
+    """The tableaux of ``enumerate_qyot``, lazily and in the same order, each with its events and descents.
+
+    Yields ``(Q, events, des)``: the quasi-Yamanouchi SSOT, its event trace
+    (``substep_events(Q)``) and its descent positions.  The query is checked
+    at the call, before anything is listed.
+    """
+    lam = check_tableau_query(lam, n, max_step, "max_step")
+
+    def walk():
+        for chain, boxes, kinds, des in _walk(lam, n, max_step):
+            Q = SSOT._of(_steps(chain, _deletions(kinds), (*des, n) if n else ()))
+            yield Q, EventTrace(tuple(_block_letters(n, des)), boxes, kinds), des
+
+    return walk()
 
 
 def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
-    """All quasi-Yamanouchi SSOTs of step at most ``max_step``; one per OT of that step."""
-    lam = check_tableau_query(lam, n, max_step, "max_step")
-    out: list[SSOT] = []
-    for O in enumerate_ot(lam, n):
-        events = ot_events(O)
-        des = descent_positions(events)
-        if len(des) + 1 > max_step and O.length > 0:
-            continue
-        letters = _block_letters(O.length, des)
-        out.append(ssot_from_events(letters, events.boxes, events.kinds))
-    return out
+    """All quasi-Yamanouchi SSOTs of step at most ``max_step``; one per OT of that step.
+
+    Step ``i`` of the tableau of an OT holds the ``i``-th run between its
+    descents.  One walk lists the OTs and their descents, skipping those
+    with more than ``max_step`` runs.
+    """
+    return [Q for Q, _, _ in walk_qyot(lam, n, max_step)]
 
 
-def render_boxes(S: SSOT) -> list[list[str]]:
-    """Multiset-tableau display: per box, the letters that ever touched it."""
-    events = substep_events(S)
+def render_boxes(x) -> list[list[str]]:
+    """Multiset-tableau display: per box, the letters that ever touched it (of an SSOT, OT or event trace)."""
+    events = _events_of(x)
     cells: dict[Box, list[int]] = {}
     for u, box in zip(events.profile, events.boxes):
         cells.setdefault(box, []).append(u)

@@ -7,19 +7,8 @@ Serialization order is graded lexicographic, largest first.
 from itertools import accumulate, combinations
 from types import MappingProxyType
 
-from .shapes import (
-    Composition,
-    Partition,
-    add_box,
-    addable_boxes,
-    check_partition,
-    in_N,
-    is_strong,
-    remove_box,
-    removable_boxes,
-    trim,
-)
-from .oscillating import ADD, DELETE, check_tableau_query, is_descent
+from .shapes import Composition, Partition, check_partition, in_N, is_strong, trim
+from .oscillating import check_tableau_query, is_descent, one_box_moves
 
 
 class SparsePoly:
@@ -77,6 +66,9 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "SparsePoly":
+        """The variable ``x_{i+1}``, for ``i`` in ``0..nvars-1``."""
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} out of range for {nvars} variables")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
 
@@ -287,22 +279,15 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     if n == 0:
         return {(): 1}
     moves: dict = {}
-
-    def distance(shape: Partition) -> int:
-        # one-box moves needed from shape to lam: down to the meet, then up
-        return sum(shape) + sum(lam) - 2 * sum(map(min, shape, lam))
+    events: dict = {}  # per shape, shared by the states at that shape
 
     def moves_from(state) -> list:
         shape, kind, box = state
-        out = []
-        for kind2, boxes, step in (
-            (DELETE, removable_boxes(shape), remove_box),
-            (ADD, addable_boxes(shape), add_box),
-        ):
-            for box2 in boxes:
-                nxt = step(shape, box2)
-                descends = kind is not None and is_descent(kind, box, kind2, box2)
-                out.append(((nxt, kind2, box2), descends, distance(nxt)))
+        options = events.get(shape) or events.setdefault(shape, one_box_moves(shape, lam))
+        out = [
+            ((nxt, kind2, box2), kind is not None and is_descent(kind, box, kind2, box2), dist)
+            for kind2, box2, nxt, dist in options
+        ]
         moves[state] = out
         return out
 

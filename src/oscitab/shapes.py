@@ -287,15 +287,3 @@ def horizontal_strip_boxes(inner: Partition, outer: Partition) -> list[Box]:
         for c in range(part(inner, i) + 1, outer[i] + 1)
     ]
     return sorted(boxes, key=lambda b: b[1])
-
-
-def composition_to_dict(c: Composition) -> dict:
-    """Wire form keeping stored zeros: ``{"parts": [2, 0, 3]}``."""
-    return {"parts": list(c)}
-
-
-def composition_from_dict(data: dict) -> Composition:
-    try:
-        return tuple(int(p) for p in data["parts"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed composition encoding: {exc}") from exc

@@ -253,9 +253,6 @@ def _syt_rec(lam: Partition, n: int):
                 yield tuple(rows)
 
 
-SkewRows = tuple[tuple[int | None, ...], ...]
-
-
 def lr_tableaux(lam: Partition, mu: Partition, nu: Partition):
     """Yield the Littlewood-Richardson fillings of ``nu/lam`` with weight ``mu``.
 
@@ -309,8 +306,3 @@ def lr_tableaux(lam: Partition, mu: Partition, nu: Partition):
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: the number of LR fillings of ``nu/lam``."""
     return sum(1 for _ in lr_tableaux(lam, mu, nu))
-
-
-def skew_to_dict(inner: Partition, rows: SkewRows) -> dict:
-    """Wire form of a skew filling: inner shape plus rows with nulls inside."""
-    return {"inner": list(inner), "rows": [list(row) for row in rows]}

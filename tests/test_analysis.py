@@ -30,6 +30,10 @@ def test_ssot_schur_paper_example():
     }
     with pytest.raises(dataclasses.FrozenInstanceError):
         expansion.degree = 7
+    with pytest.raises(TypeError):
+        expansion.coefficients[(5,)] = 9
+    with pytest.raises(TypeError):
+        del expansion.coefficients[(3, 2)]
 
 
 def test_ssot_schur_trivial_degree():

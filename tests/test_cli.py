@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from oscitab import oscillating
 from oscitab.cli import build_parser, main, parse_partition
+from oscitab.oscillating import descent_data, enumerate_qyot, render_boxes, run_of, ssot_to_dict
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +80,7 @@ def test_domain_error_exit_code(capsys):
         ["ssot-poly", "2,1", "5", "0"],
         ["vset", "2,1", "-3"],
         ["independence", "-1", "1"],
+        ["enumerate-qyot", "2,1", "5", "3", "--limit", "-12"],
     ],
 )
 def test_out_of_range_arguments_exit_1(argv, capsys):
@@ -118,6 +121,75 @@ def test_limit_flag(capsys):
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 3  # header + 2 rows
     assert "14 quasi-Yamanouchi" in out
+
+
+def listed_qyot_output(lam, n, k, limit, as_json):
+    # the output as the listing API gives it, each tableau's facts derived again
+    tableaux = enumerate_qyot(lam, n, k)
+    listed = tableaux[:limit] if limit is not None else tableaux
+    if as_json:
+        doc = {
+            "partition": list(lam),
+            "length": n,
+            "max_step": k,
+            "count": len(tableaux),
+            "tableaux": [
+                {
+                    "steps": ssot_to_dict(Q)["steps"],
+                    "boxes": render_boxes(Q),
+                    "run": str(run_of(Q)),
+                    "descent_composition": list(descent_data(Q)[1]),
+                }
+                for Q in listed
+            ],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    shape = ",".join(map(str, lam)) or "-"
+    lines = [f"{len(tableaux)} quasi-Yamanouchi tableaux of shape {shape}, length {n}, step <= {k}"]
+    for Q in listed:
+        rows = render_boxes(Q)
+        text = " / ".join(" ".join(row) for row in rows) if rows else "-"
+        lines.append(f"{text:<32} {run_of(Q)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lam,n,k,limit",
+    [
+        ((2, 1), 5, 3, None),
+        ((2, 1), 5, 3, 0),
+        ((2, 1), 5, 3, 1),
+        ((2, 1), 7, 7, 40),
+        ((), 0, 1, None),
+        ((), 4, 3, None),
+        ((2, 1), 4, 3, None),  # inadmissible length
+        ((2, 1), 5, 1, None),
+        ((3, 1), 6, 1, None),
+        ((1, 1), 6, 2, 100),
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_enumerate_qyot_output_matches_listing_api(lam, n, k, limit, as_json, capsys):
+    argv = ["enumerate-qyot", ",".join(map(str, lam)) or "-", str(n), str(k)]
+    argv += (["--limit", str(limit)] if limit is not None else []) + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == listed_qyot_output(lam, n, k, limit, as_json)
+
+
+def test_limit_stops_the_walk(monkeypatch, capsys):
+    # 34,650 tableaux are counted, but only the one printed is built
+    built = []
+
+    def counting_steps(*args):
+        built.append(args)
+        return steps(*args)
+
+    steps = oscillating._steps
+    monkeypatch.setattr(oscillating, "_steps", counting_steps)
+    assert main(["enumerate-qyot", "2,1", "11", "11", "--limit", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("34650 quasi-Yamanouchi tableaux") and len(out.splitlines()) == 2
+    assert len(built) == 1
 
 
 def test_parser_is_built_once(capsys):

@@ -26,8 +26,16 @@ from oscitab.oscillating import (
     ssot_to_dict,
     standardize,
     substep_events,
+    walk_qyot,
 )
-from oscitab.shapes import is_horizontal_strip, partitions_of
+from oscitab.shapes import (
+    add_box,
+    addable_boxes,
+    is_horizontal_strip,
+    partitions_of,
+    remove_box,
+    removable_boxes,
+)
 
 
 # ---- independent definitional enumeration, used as an oracle ----------------
@@ -87,6 +95,112 @@ def brute_force_ssots(lam, n, kmax):
         found.append(EMPTY_SSOT)
     rec([], (), 0)
     return found
+
+
+# ---- reference listings: the enumeration the pruned walk replaced -----------
+# Every OT through the validating constructor, its events and descents derived
+# again, and every SSOT rebuilt by ssot_from_events and the public constructor.
+
+def reference_ots(lam, n):
+    m = sum(lam)
+    out = []
+    chain = [()]
+
+    def rec(current, remaining):
+        if remaining == 0:
+            if current == lam:
+                out.append(OscillatingTableau(tuple(chain)))
+            return
+        candidates = [remove_box(current, b) for b in removable_boxes(current)]
+        candidates += [add_box(current, b) for b in addable_boxes(current)]
+        for nxt in candidates:
+            if abs(sum(nxt) - m) > remaining - 1:
+                continue
+            chain.append(nxt)
+            rec(nxt, remaining - 1)
+            chain.pop()
+
+    if n >= m and (n - m) % 2 == 0:
+        rec((), n)
+    return out
+
+
+def reference_labelings(n, strict_after, kmax):
+    # weakly increasing words in 1..kmax, strictly increasing after marked positions
+    word = []
+
+    def rec(j, lo):
+        if j == n:
+            yield tuple(word)
+            return
+        for v in range(lo, kmax + 1):
+            word.append(v)
+            yield from rec(j + 1, v + 1 if (j + 1) in strict_after else v)
+            word.pop()
+
+    if n == 0:
+        yield ()
+    else:
+        yield from rec(0, 1)
+
+
+def reference_block_letters(n, des):
+    letters, block = [], 1
+    for j in range(1, n + 1):
+        letters.append(block)
+        if j in des:
+            block += 1
+    return letters
+
+
+def validated_ssot(letters, events):
+    return SSOT(ssot_from_events(letters, events.boxes, events.kinds).steps)
+
+
+def test_listings_match_reference_enumeration():
+    from oscitab.oscillating import descent_positions
+
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(9):
+                ots = reference_ots(lam, n)
+                assert enumerate_ot(lam, n) == ots, (lam, n)
+                traced = [(ot_events(O), descent_positions(ot_events(O))) for O in ots]
+                for k in range(1, 6):
+                    qyots = [
+                        validated_ssot(reference_block_letters(n, des), events)
+                        for events, des in traced
+                        if len(des) + 1 <= k or n == 0
+                    ]
+                    assert enumerate_qyot(lam, n, k) == qyots, (lam, n, k)
+                    assert [Q for Q, _, _ in walk_qyot(lam, n, k)] == qyots
+                    ssots = [
+                        validated_ssot(u, events)
+                        for events, des in traced
+                        for u in reference_labelings(n, set(des), k)
+                    ]
+                    assert enumerate_ssot(lam, n, k) == ssots, (lam, n, k)
+
+
+def test_walk_yields_the_events_and_descents_of_each_tableau():
+    for lam, n, k in (((2, 1), 5, 3), ((), 4, 4), ((1,), 5, 2), ((), 0, 1), ((1, 1), 6, 6)):
+        for Q, events, des in walk_qyot(lam, n, k):
+            assert events == substep_events(Q)
+            assert frozenset(des) == descent_data(Q)[0]
+    with pytest.raises(ValueError):
+        walk_qyot((2, 1), 5, 0)  # checked at the call, before the first tableau
+
+
+def test_trusted_tableaux_pass_public_constructors():
+    for m in range(4):
+        for lam in partitions_of(m):
+            for n in range(m, m + 5, 2):
+                for O in enumerate_ot(lam, n):
+                    assert OscillatingTableau(O.chain) == O
+                for k in (1, 2, 4):
+                    for S in enumerate_ssot(lam, n, k) + enumerate_qyot(lam, n, k):
+                        assert SSOT(S.steps) == S
+                        assert destandardize(S) == SSOT(destandardize(S).steps)
 
 
 # ---- construction and validation --------------------------------------------

@@ -48,6 +48,10 @@ def test_ring_operations():
     for nvars, terms in ((-1, {}), (2, {(1,): 1}), (2, {(1, -1): 1})):
         with pytest.raises(ValueError):
             SparsePoly(nvars, terms)
+    assert SparsePoly.variable(1, 3) == poly_from_pairs(3, {(0, 1, 0): 1})
+    for i, nvars in ((5, 2), (2, 2), (-1, 2), (0, 0)):
+        with pytest.raises(ValueError):
+            SparsePoly.variable(i, nvars)
 
 
 def test_poly_json_round_trip():

@@ -258,12 +258,3 @@ def test_trim():
     assert trim((2, 0)) == (2,)
     assert trim((0, 2, 0)) == (0, 2)
     assert trim(()) == ()
-
-
-def test_composition_json():
-    from oscitab.shapes import composition_from_dict, composition_to_dict
-
-    assert composition_to_dict((2, 0, 3)) == {"parts": [2, 0, 3]}
-    assert composition_from_dict({"parts": [2, 0, 3]}) == (2, 0, 3)
-    with pytest.raises(ValueError):
-        composition_from_dict({})

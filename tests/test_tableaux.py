@@ -212,14 +212,3 @@ def test_syt_counts_match_hook_formula_values():
     assert sum(1 for _ in enumerate_syt((3, 2))) == 5
     assert sum(1 for _ in enumerate_syt((2, 2))) == 2
     assert sum(1 for _ in enumerate_syt(())) == 1
-
-
-def test_skew_to_dict():
-    import json
-
-    from oscitab.tableaux import skew_to_dict
-
-    filling = next(lr_tableaux((1,), (1, 1), (2, 1)))
-    encoded = skew_to_dict((1,), filling)
-    assert encoded == {"inner": [1], "rows": [[None, 1], [2]]}
-    json.dumps(encoded)

@@ -39,6 +39,9 @@ class SchurExpansion:
     degree: int
     coefficients: MappingProxyType
 
+    def __hash__(self) -> int:
+        return hash((self.degree, frozenset(self.coefficients.items())))
+
 
 @lru_cache(maxsize=None)
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:

@@ -12,14 +12,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import Box, part
+from .shapes import Box, conjugate
 from .oscillating import ADD, DELETE, SSOT, ssot_from_events, substep_events
 from .tableaux import (
-    EMPTY,
     Tableau,
+    _column_insert,
+    _column_unbump,
+    _columns,
+    _from_columns,
     check_tableau,
-    column_insert,
-    column_unbump,
     insertion_tableau,
     tableau_shape,
 )
@@ -34,10 +35,18 @@ class TwoRowArray:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        pairs = tuple((int(t), int(b)) for t, b in self.pairs)
+        pairs = tuple(tuple(p) for p in self.pairs)
+        for p in pairs:
+            if len(p) != 2 or any(type(x) is not int or x < 1 for x in p):
+                raise ValueError(f"array pairs must be two positive integers, got {p}")
         object.__setattr__(self, "pairs", pairs)
-        if any(t < 1 or b < 1 for t, b in pairs):
-            raise ValueError("array entries must be positive")
+
+    @classmethod
+    def _of(cls, pairs: tuple[Pair, ...]) -> "TwoRowArray":
+        """Array from a tuple of pairs already known to be valid."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "pairs", pairs)
+        return out
 
     def is_lexicographic(self) -> bool:
         return all(self.pairs[i] <= self.pairs[i + 1] for i in range(len(self.pairs) - 1))
@@ -62,8 +71,8 @@ class TwoRowArray:
     @classmethod
     def from_dict(cls, data: dict) -> "TwoRowArray":
         try:
-            return cls(tuple((p[0], p[1]) for p in data["pairs"]))
-        except (KeyError, TypeError, IndexError) as exc:
+            return cls(tuple(tuple(p) for p in data["pairs"]))
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed array encoding: {exc}") from exc
 
 
@@ -73,7 +82,7 @@ EMPTY_ARRAY = TwoRowArray(())
 def insert_pair(L: TwoRowArray, pair: Pair) -> TwoRowArray:
     """Lexicographic insertion, placed after any equal pairs."""
     pairs = list(L.pairs)
-    insort(pairs, (int(pair[0]), int(pair[1])))
+    insort(pairs, tuple(pair))
     return TwoRowArray(tuple(pairs))
 
 
@@ -82,7 +91,7 @@ def symmetrize(L: TwoRowArray) -> TwoRowArray:
     if not L.is_lexicographic():
         raise ValueError("symmetrization needs a lexicographic array")
     doubled = [*L.pairs, *((b, t) for t, b in L.pairs)]
-    return TwoRowArray(tuple(sorted(doubled)))
+    return TwoRowArray._of(tuple(sorted(doubled)))
 
 
 def burge_map(L: TwoRowArray) -> Tableau:
@@ -123,47 +132,60 @@ class SundaramPair:
             raise ValueError(f"malformed pair encoding: {exc}") from exc
 
 
-def _place_entry(T: Tableau, box: Box, x: int) -> Tableau:
+def _place_entry(cols: list[list[int]], box: Box, x: int) -> None:
+    """Put ``x`` in the addable ``box`` of a list of columns, in place."""
     row, col = box
-    shape = tableau_shape(T)
-    if col != part(shape, row - 1) + 1 or (row > 1 and part(shape, row - 2) < col):
+    if not (
+        1 <= col <= len(cols) + 1
+        and (len(cols[col - 1]) if col <= len(cols) else 0) == row - 1
+        and (col == 1 or len(cols[col - 2]) >= row)
+    ):
+        shape = conjugate(tuple(len(c) for c in cols))
         raise ValueError(f"box {box} is not addable to shape {shape}")
-    if col > 1 and T[row - 1][col - 2] > x:
+    if col > 1 and cols[col - 2][row - 1] > x:
         raise ValueError(f"placing {x} at {box} breaks row order")
-    if row > 1 and T[row - 2][col - 1] >= x:
+    if row > 1 and cols[col - 1][row - 2] >= x:
         raise ValueError(f"placing {x} at {box} breaks column order")
-    rows = [list(r) for r in T]
-    if row > len(rows):
-        rows.append([])
-    rows[row - 1].append(x)
-    return tuple(tuple(r) for r in rows)
+    if col > len(cols):
+        cols.append([x])
+    else:
+        cols[col - 1].append(x)
 
 
-def sundaram_steps(S: SSOT) -> Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]:
-    """Replay the correspondence, yielding (m, letter, kind, box, L_m, T_m) per substep."""
+def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple[int, int, str, Box]]:
+    """Apply the substeps of ``S`` to a sorted pair list and a list of columns, in place.
+
+    Yields ``(m, letter, kind, box)`` after each substep.
+    """
     events = substep_events(S)
-    L = EMPTY_ARRAY
-    T = EMPTY
     for m, (u, box, kind) in enumerate(
         zip(events.profile, events.boxes, events.kinds), 1
     ):
         if kind == ADD:
-            T = _place_entry(T, box, u)
+            _place_entry(cols, box, u)
         else:
-            T, ejected = column_unbump(T, box)
-            L = insert_pair(L, (u, ejected))
-        yield m, u, kind, box, L, T
+            insort(pairs, (u, _column_unbump(cols, box)))
+        yield m, u, kind, box
+
+
+def sundaram_steps(S: SSOT) -> Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]:
+    """Replay the correspondence, yielding (m, letter, kind, box, L_m, T_m) per substep."""
+    pairs: list[Pair] = []
+    cols: list[list[int]] = []
+    for m, u, kind, box in _replay(S, pairs, cols):
+        yield m, u, kind, box, TwoRowArray._of(tuple(pairs)), _from_columns(cols)
 
 
 def sundaram(S: SSOT) -> SundaramPair:
     """The (modified) Sundaram correspondence: an SSOT to its Burge/tableau pair."""
-    L, T = EMPTY_ARRAY, EMPTY
-    for _, _, _, _, L, T in sundaram_steps(S):
+    pairs: list[Pair] = []
+    cols: list[list[int]] = []
+    for _ in _replay(S, pairs, cols):
         pass
-    result = SundaramPair(L, T)
-    if not result.burge.is_burge():
+    L = TwoRowArray._of(tuple(pairs))
+    if not L.is_burge():
         raise ValueError("internal error: produced array is not Burge")
-    return result
+    return SundaramPair(L, _from_columns(cols))
 
 
 def sundaram_inverse(pair: SundaramPair) -> SSOT:
@@ -172,35 +194,36 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     Undoes events largest letter first; a letter present in the tableau was
     an addition (undone before deletions of the same letter), otherwise the
     rightmost array pair is removed and its bottom value column-inserted.
+    The largest entry of the tableau is the largest column bottom, and the
+    rightmost box holding it is the corner removed.
     """
     if not pair.burge.is_burge():
         raise ValueError("not a Burge array")
-    T = check_tableau(pair.tableau)
-    L = list(pair.burge.pairs)
-    reversed_events: list[tuple[int, Box, str]] = []
-    while L or T:
-        x_tab = max((x for row in T for x in row), default=0)
-        x_arr = L[-1][0] if L else 0
-        if x_tab >= x_arr:
-            x = x_tab
-            box = max(
-                ((r + 1, c + 1) for r, row in enumerate(T) for c, v in enumerate(row) if v == x),
-                key=lambda b: b[1],
-            )
-            rows = [list(r) for r in T]
-            rows[box[0] - 1].pop()
-            T = tuple(tuple(r) for r in rows if r)
-            reversed_events.append((x, box, ADD))
+    cols = _columns(check_tableau(pair.tableau))
+    pairs = list(pair.burge.pairs)
+    letters: list[int] = []
+    boxes: list[Box] = []
+    kinds: list[str] = []
+    while pairs or cols:
+        x, c = 0, 0
+        for j, col in enumerate(cols):
+            if col[-1] >= x:
+                x, c = col[-1], j
+        if pairs and pairs[-1][0] > x:
+            x, bottom = pairs.pop()
+            box = _column_insert(cols, bottom)
+            kind = DELETE
         else:
-            x, bottom = L.pop()
-            T, box = column_insert(T, bottom)
-            reversed_events.append((x, box, DELETE))
-    reversed_events.reverse()
+            column = cols[c]
+            column.pop()
+            box = (len(column) + 1, c + 1)
+            if not column:  # a corner in row 1 ends the last column
+                cols.pop()
+            kind = ADD
+        letters.append(x)
+        boxes.append(box)
+        kinds.append(kind)
     try:
-        return ssot_from_events(
-            [e[0] for e in reversed_events],
-            [e[1] for e in reversed_events],
-            [e[2] for e in reversed_events],
-        )
+        return ssot_from_events(letters[::-1], boxes[::-1], kinds[::-1])
     except ValueError as exc:
         raise ValueError(f"pair has no valid preimage: {exc}") from exc

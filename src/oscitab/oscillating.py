@@ -20,7 +20,6 @@ from .shapes import (
     addable_boxes,
     check_partition,
     check_shape_query,
-    horizontal_strip_boxes,
     in_N,
     is_horizontal_strip,
     is_partition,
@@ -179,20 +178,30 @@ EMPTY_SSOT = SSOT(())
 
 
 def substep_events(S: SSOT) -> EventTrace:
-    """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right."""
+    """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right.
+
+    A horizontal strip's higher rows lie further right, so deletions run
+    top row first, right to left, and additions bottom row first, left to
+    right.
+    """
     profile: list[int] = []
     boxes: list[Box] = []
     kinds: list[str] = []
     prev: Partition = ()
     for i, (deleted, reached) in enumerate(S.steps, 1):
-        for box in reversed(horizontal_strip_boxes(deleted, prev)):
-            profile.append(i)
-            boxes.append(box)
-            kinds.append(DELETE)
-        for box in horizontal_strip_boxes(deleted, reached):
-            profile.append(i)
-            boxes.append(box)
-            kinds.append(ADD)
+        start = len(boxes)
+        for r, old in enumerate(prev):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(old, low, -1):
+                boxes.append((r + 1, c))
+        middle = len(boxes)
+        for r in range(len(reached) - 1, -1, -1):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(low + 1, reached[r] + 1):
+                boxes.append((r + 1, c))
+        kinds += [DELETE] * (middle - start)
+        kinds += [ADD] * (len(boxes) - middle)
+        profile += [i] * (len(boxes) - start)
         prev = reached
     return EventTrace(tuple(profile), tuple(boxes), tuple(kinds))
 
@@ -284,7 +293,11 @@ def standardize(S: SSOT) -> OscillatingTableau:
 
 
 def ssot_from_events(profile, boxes, kinds) -> SSOT:
-    """Rebuild an SSOT from labelled events, checking the step-order conventions."""
+    """Rebuild an SSOT from labelled events, checking the step-order conventions.
+
+    Each event is checked as ``add_box`` and ``remove_box`` would, on the
+    row lengths of the current shape.
+    """
     profile, boxes, kinds = tuple(profile), tuple(boxes), tuple(kinds)
     if not len(profile) == len(boxes) == len(kinds):
         raise ValueError("event components differ in length")
@@ -293,32 +306,50 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
     if any(profile[j] > profile[j + 1] for j in range(len(profile) - 1)):
         raise ValueError("letters must weakly increase")
     steps: list[tuple[Partition, Partition]] = []
-    current: Partition = ()
-    j = 0
+    rows: list[int] = []  # row lengths of the current shape
+    j, n = 0, len(profile)
     top = profile[-1] if profile else 0
     for letter in range(1, top + 1):
-        deleting = True
-        prev_box: Box | None = None
-        deleted = current
-        while j < len(profile) and profile[j] == letter:
-            box, kind = boxes[j], kinds[j]
-            if kind == DELETE:
-                if not deleting:
+        deleted: Partition | None = None  # the shape once the deletions are done
+        prev_col = 0
+        while j < n and profile[j] == letter:
+            box = boxes[j]
+            row, col = box
+            if kinds[j] == DELETE:
+                if deleted is not None:
                     raise ValueError(f"step {letter}: deletion after an addition")
-                if prev_box is not None and box[1] >= prev_box[1]:
+                if prev_col and col >= prev_col:
                     raise ValueError(f"step {letter}: deletions must move left")
-                current = remove_box(current, box)
-                deleted = current
+                if not (
+                    1 <= row <= len(rows)
+                    and rows[row - 1] == col
+                    and (row == len(rows) or rows[row] < col)
+                ):
+                    raise ValueError(f"box {box} is not an outside corner of {tuple(rows)}")
+                if col == 1:  # the last row empties
+                    rows.pop()
+                else:
+                    rows[row - 1] -= 1
             else:
-                if deleting:
-                    deleting = False
-                    prev_box = None
-                if prev_box is not None and box[1] <= prev_box[1]:
+                if deleted is None:
+                    deleted = tuple(rows)
+                    prev_col = 0
+                if prev_col and col <= prev_col:
                     raise ValueError(f"step {letter}: additions must move right")
-                current = add_box(current, box)
-            prev_box = box
+                if not (
+                    1 <= row <= len(rows) + 1
+                    and (rows[row - 1] if row <= len(rows) else 0) == col - 1
+                    and (row == 1 or rows[row - 2] >= col)
+                ):
+                    raise ValueError(f"box {box} is not addable to {tuple(rows)}")
+                if row > len(rows):
+                    rows.append(1)
+                else:
+                    rows[row - 1] += 1
+            prev_col = col
             j += 1
-        steps.append((deleted, current))
+        reached = tuple(rows)
+        steps.append((reached if deleted is None else deleted, reached))
     # the checks above imply the SSOT invariants: deletions moving left and
     # additions moving right are horizontal strips, letter 1 has nothing to
     # delete, and the top letter's events change the shape

@@ -267,7 +267,7 @@ def add_box(lam: Partition, box: Box) -> Partition:
 
 def remove_box(lam: Partition, box: Box) -> Partition:
     row, col = box
-    if row > len(lam) or lam[row - 1] != col or part(lam, row) == col:
+    if not 1 <= row <= len(lam) or lam[row - 1] != col or part(lam, row) == col:
         raise ValueError(f"box {box} is not an outside corner of {lam}")
     out = list(lam)
     out[row - 1] -= 1
@@ -277,13 +277,3 @@ def remove_box(lam: Partition, box: Box) -> Partition:
 def northeast(b1: Box, b2: Box) -> bool:
     """True if ``b2`` lies strictly northEast of ``b1``: weakly above and strictly right."""
     return b1[0] >= b2[0] and b1[1] < b2[1]
-
-
-def horizontal_strip_boxes(inner: Partition, outer: Partition) -> list[Box]:
-    """Boxes of the horizontal strip ``outer/inner`` in increasing column order."""
-    boxes = [
-        (i + 1, c)
-        for i in range(len(outer))
-        for c in range(part(inner, i) + 1, outer[i] + 1)
-    ]
-    return sorted(boxes, key=lambda b: b[1])

@@ -11,6 +11,7 @@ from .shapes import (
     Composition,
     Partition,
     check_partition,
+    conjugate,
     contains,
     is_partition,
     northeast,
@@ -32,9 +33,9 @@ def is_semistandard(T) -> bool:
     if not is_partition(shape):
         return False
     for row in T:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+        if any(type(x) is not int or x < 1 for x in row):
             return False
-        if any(not isinstance(x, int) or x < 1 for x in row):
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
             return False
     for i in range(len(T) - 1):
         if any(T[i][j] >= T[i + 1][j] for j in range(len(T[i + 1]))):
@@ -67,28 +68,38 @@ def row_word(T: Tableau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def row_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
-    """Schensted row insertion; returns the new tableau and the new corner box."""
-    rows = [list(row) for row in T]
-    r = 0
-    while r < len(rows):
-        row = rows[r]
+def _check_letter(x) -> None:
+    if x < 1:
+        raise ValueError(f"tableau entries must be positive, got {x}")
+
+
+def _row_insert(rows: list[list[int]], x: int) -> Box:
+    """Schensted row insertion into a list of rows, in place; returns the new corner box."""
+    for r, row in enumerate(rows):
         j = bisect_right(row, x)
         if j == len(row):
             row.append(x)
-            return tuple(tuple(rw) for rw in rows), (r + 1, len(row))
+            return (r + 1, j + 1)
         x, row[j] = row[j], x
-        r += 1
     rows.append([x])
-    return tuple(tuple(rw) for rw in rows), (len(rows), 1)
+    return (len(rows), 1)
+
+
+def row_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
+    """Schensted row insertion; returns the new tableau and the new corner box."""
+    _check_letter(x)
+    rows = [list(row) for row in T]
+    box = _row_insert(rows, x)
+    return tuple(map(tuple, rows)), box
 
 
 def insertion_tableau(word) -> Tableau:
     """RSK insertion tableau of a word, inserted left to right."""
-    T: Tableau = EMPTY
+    rows: list[list[int]] = []
     for x in word:
-        T, _ = row_insert(T, x)
-    return T
+        _check_letter(x)
+        _row_insert(rows, x)
+    return tuple(map(tuple, rows))
 
 
 def _columns(T: Tableau) -> list[list[int]]:
@@ -97,28 +108,58 @@ def _columns(T: Tableau) -> list[list[int]]:
 
 
 def _from_columns(cols: list[list[int]]) -> Tableau:
-    while cols and not cols[-1]:
-        cols.pop()
-    depth = max((len(c) for c in cols), default=0)
+    """The tableau whose columns are ``cols``, none of them empty."""
+    depth = len(cols[0]) if cols else 0
     return tuple(
         tuple(col[r] for col in cols if len(col) > r) for r in range(depth)
     )
 
 
-def column_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
-    """Column insertion: ``x`` bumps the topmost entry >= x, moving right."""
-    cols = _columns(T)
-    c = 0
-    while c < len(cols):
-        col = cols[c]
+def _column_insert(cols: list[list[int]], x: int) -> Box:
+    """Column insertion into a list of columns, in place; returns the new corner box.
+
+    ``x`` bumps the topmost entry >= x, which moves on to the next column.
+    """
+    for c, col in enumerate(cols):
         j = bisect_left(col, x)
         if j == len(col):
             col.append(x)
-            return _from_columns(cols), (len(col), c + 1)
+            return (j + 1, c + 1)
         x, col[j] = col[j], x
-        c += 1
     cols.append([x])
-    return _from_columns(cols), (1, len(cols))
+    return (1, len(cols))
+
+
+def _column_unbump(cols: list[list[int]], box: Box) -> int:
+    """Remove the corner entry at ``box`` from a list of columns in place, reverse-inserting leftward.
+
+    Returns the value ejected from column 1.
+    """
+    row, col = box
+    if not (
+        1 <= col <= len(cols)
+        and len(cols[col - 1]) == row
+        and (col == len(cols) or len(cols[col]) < row)
+    ):
+        shape = conjugate(tuple(len(c) for c in cols))
+        raise ValueError(f"box {box} is not an outside corner of shape {shape}")
+    x = cols[col - 1].pop()
+    if row == 1:  # a corner in row 1 ends the last column
+        cols.pop()
+    for c in range(col - 2, -1, -1):
+        column = cols[c]
+        # largest entry <= x swaps out; strict column increase makes it unique
+        j = bisect_right(column, x) - 1
+        x, column[j] = column[j], x
+    return x
+
+
+def column_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
+    """Column insertion: ``x`` bumps the topmost entry >= x, moving right."""
+    _check_letter(x)
+    cols = _columns(T)
+    box = _column_insert(cols, x)
+    return _from_columns(cols), box
 
 
 def column_unbump(T: Tableau, box: Box) -> tuple[Tableau, int]:
@@ -127,17 +168,8 @@ def column_unbump(T: Tableau, box: Box) -> tuple[Tableau, int]:
     Returns the smaller tableau and the value ejected from column 1; exact
     inverse of :func:`column_insert`.
     """
-    row, col = box
-    shape = tableau_shape(T)
-    if row > len(shape) or shape[row - 1] != col or part(shape, row) >= col:
-        raise ValueError(f"box {box} is not an outside corner of shape {shape}")
     cols = _columns(T)
-    x = cols[col - 1].pop()
-    for c in range(col - 2, -1, -1):
-        column = cols[c]
-        # largest entry <= x swaps out; strict column increase makes it unique
-        j = bisect_right(column, x) - 1
-        x, column[j] = column[j], x
+    x = _column_unbump(cols, box)
     return _from_columns(cols), x
 
 

@@ -36,6 +36,14 @@ def test_ssot_schur_paper_example():
         del expansion.coefficients[(3, 2)]
 
 
+def test_schur_expansions_hash_by_value():
+    a, b = ssot_schur((2, 1), 5), ssot_schur((2, 1), 5)
+    assert a == b and a is not b and hash(a) == hash(b)
+    c = ssot_schur((1, 1, 1), 5)
+    table = {a: "a", c: "c"}
+    assert table[b] == "a" and len({a, b, c}) == 2
+
+
 def test_ssot_schur_trivial_degree():
     for lam in ((), (1,), (3, 1), (2, 2)):
         assert ssot_schur(lam, sum(lam)).coefficients == {lam: 1}

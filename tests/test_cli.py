@@ -107,6 +107,22 @@ def test_sundaram_malformed_steps_exit_1(data, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("pair", ["2.7,1", "true,1", "True,True", "3,1,9", "3", "0,1", "2,-1"])
+def test_burge_rejects_entries_that_are_not_positive_integers(pair, capsys):
+    assert main(["burge", pair]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_sundaram_rejects_shape_entries_that_are_not_integers(entry, tmp_path, capsys):
+    path = tmp_path / "ssot.json"
+    path.write_text(json.dumps({"steps": [{"deleted": [], "reached": [entry]}]}))
+    assert main(["sundaram", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate-qyot", "2,1"])

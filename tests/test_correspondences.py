@@ -59,6 +59,24 @@ def test_symmetrize():
         symmetrize(TwoRowArray(((2, 1), (1, 2))))
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [((2.7, 1),), ((True, True),), ((2, True),), (("3", "1"),), ((3, 1, 9),), ((3,),), ((0, 1),), ((2, -1),)],
+)
+def test_array_entries_are_two_positive_ints(pairs):
+    with pytest.raises(ValueError):
+        TwoRowArray(pairs)
+    with pytest.raises(ValueError):
+        TwoRowArray.from_dict({"pairs": [list(p) for p in pairs]})
+
+
+def test_array_from_dict():
+    assert TwoRowArray.from_dict({"pairs": [[3, 1], [4, 2]]}).pairs == ((3, 1), (4, 2))
+    for data in ({}, {"pairs": [3]}, {"pairs": 3}, {"pairs": [["3", "1"]]}):
+        with pytest.raises(ValueError):
+            TwoRowArray.from_dict(data)
+
+
 def test_insert_pair_is_stable_sorted():
     L = insert_pair(insert_pair(EMPTY_ARRAY, (4, 2)), (4, 3))
     L = insert_pair(L, (4, 2))
@@ -156,12 +174,33 @@ def test_sundaram_inverse_examples():
 
 
 def test_sundaram_round_trip_exhaustive():
-    for n in range(6):
-        if not in_N((1, 1), n):
-            continue
-        for S in enumerate_ssot((1, 1), n, 3):
-            pair = sundaram(S)
-            assert sundaram_inverse(pair) == S
+    # inverse after forward is the identity, and images within a listing are distinct
+    for m in range(4):
+        for lam in partitions_of(m):
+            for n in range(m, m + 5, 2):
+                for k in range(1, 5):
+                    listing = enumerate_ssot(lam, n, k)
+                    images = set()
+                    for S in listing:
+                        pair = sundaram(S)
+                        assert sundaram_inverse(pair) == S
+                        images.add(pair)
+                    assert len(images) == len(listing), (lam, n, k)
+
+
+def test_sundaram_steps_end_at_sundaram_and_do_not_alias():
+    for m in range(1, 4):
+        for lam in partitions_of(m):
+            for S in enumerate_ssot(lam, m + 4, 4):
+                rows = []
+                for _, _, _, _, L, T in sundaram_steps(S):
+                    # copied as yielded, compared once the replay has ended
+                    rows.append((L, T, [list(p) for p in L.pairs], [list(row) for row in T]))
+                assert SundaramPair(rows[-1][0], rows[-1][1]) == sundaram(S)
+                for L, T, pairs, tableau in rows:
+                    assert type(L.pairs) is tuple and all(type(p) is tuple for p in L.pairs)
+                    assert type(T) is tuple and all(type(row) is tuple for row in T)
+                    assert L.pairs == tuple(map(tuple, pairs)) and T == tuple(map(tuple, tableau))
 
 
 def test_sundaram_surjective_small():

@@ -7,6 +7,7 @@ from oscitab.oscillating import (
     ADD,
     DELETE,
     EMPTY_SSOT,
+    EventTrace,
     OscillatingTableau,
     Run,
     SSOT,
@@ -396,6 +397,37 @@ def test_ssot_from_events_rejects_bad_orders():
         ssot_from_events([1, 1], [(1, 2), (1, 1)], [ADD, ADD])
     with pytest.raises(ValueError):
         ssot_from_events([2, 1], [(1, 1), (1, 2)], [ADD, ADD])
+
+
+def test_ssot_from_events_rejects_corrupted_traces():
+    # a box moved by one row or column gives either a ValueError or the
+    # trace of another SSOT; a row of 0 or -1 is never a box
+    rejected = 0
+    for lam in ((1,), (2,), (1, 1), (2, 1)):
+        for S in enumerate_ssot(lam, sum(lam) + 4, 3):
+            events = substep_events(S)
+            for j, (row, col) in enumerate(events.boxes):
+                for moved in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1), (0, col), (-1, col)):
+                    boxes = events.boxes[:j] + (moved,) + events.boxes[j + 1 :]
+                    try:
+                        T = ssot_from_events(events.profile, boxes, events.kinds)
+                    except ValueError:
+                        rejected += 1
+                        continue
+                    assert moved[0] >= 1
+                    assert SSOT(T.steps) == T
+                    assert substep_events(T) == EventTrace(events.profile, boxes, events.kinds)
+    assert rejected > 0
+    with pytest.raises(ValueError):
+        # the deletion's box sits one row too low
+        ssot_from_events([1, 1, 2], [(1, 1), (1, 2), (2, 2)], [ADD, ADD, DELETE])
+    with pytest.raises(ValueError):
+        # the addition's box sits one column too far right
+        ssot_from_events([1, 2], [(1, 1), (2, 2)], [ADD, ADD])
+    with pytest.raises(ValueError):
+        ssot_from_events([1, 1, 2], [(1, 1), (1, 2), (0, 2)], [ADD, ADD, DELETE])
+    with pytest.raises(ValueError):
+        ssot_from_events([1, 2], [(1, 1), (0, 1)], [ADD, ADD])
 
 
 def test_com_examples():

@@ -241,6 +241,12 @@ def test_box_operations():
         add_box((2, 1), (3, 2))
     with pytest.raises(ValueError):
         remove_box((2, 2), (1, 2))
+    # rows and columns below 1 are not boxes, whatever negative indexing finds
+    for lam, box in (((2, 1), (0, 1)), ((3, 1), (-1, 3)), ((2, 1), (1, 0)), ((1,), (0, 0))):
+        with pytest.raises(ValueError):
+            remove_box(lam, box)
+        with pytest.raises(ValueError):
+            add_box(lam, box)
 
 
 def test_even_conjugate_partitions():

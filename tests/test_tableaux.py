@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from oscitab.shapes import northeast, partitions_of, v_set
 from oscitab.tableaux import (
     EMPTY,
+    check_tableau,
     column_insert,
     column_unbump,
     des_syt,
@@ -65,6 +67,38 @@ def test_column_unbump():
     assert column_unbump(((1, 2), (2,)), (1, 2)) == (((1,), (2,)), 2)
     with pytest.raises(ValueError):
         column_unbump(((1, 2), (2,)), (2, 2))
+    for box in ((-1, 2), (0, 2), (1, 0), (1, -1), (2, 1)):
+        with pytest.raises(ValueError):
+            column_unbump(((1, 2),), box)
+    for box in ((2, -1), (1, -1), (2, 0)):
+        with pytest.raises(ValueError):
+            column_unbump(((1, 2), (3,)), box)
+
+
+def test_check_tableau_rejects_non_integer_entries():
+    for T in ([[True, 2]], [[1, 2.0]], [[1], ["2"]], [[1, 2], [False]]):
+        assert not is_semistandard(T)
+        with pytest.raises(ValueError):
+            check_tableau(T)
+
+
+def test_insertions_reject_letters_below_1():
+    for x in (0, -3):
+        with pytest.raises(ValueError):
+            column_insert(((1, 2),), x)
+        with pytest.raises(ValueError):
+            row_insert(((1, 2),), x)
+        with pytest.raises(ValueError):
+            insertion_tableau((2, x, 1))
+
+
+def test_insertion_tableau_is_the_fold_of_row_insert():
+    for length in range(7):
+        for word in product(range(1, 5), repeat=length):
+            T = EMPTY
+            for x in word:
+                T, _ = row_insert(T, x)
+            assert insertion_tableau(word) == T
 
 
 def test_column_round_trip_random():

@@ -1,13 +1,16 @@
 """Schur expansions, Hall inner products, independence and Newton-polytope checks.
 
-Everything here is exact: coefficients are integers and linear algebra runs
-over ``fractions.Fraction``.  The saturated-Newton-polytope check decides a
-symmetric homogeneous support by Rado's theorem: its Newton polytope is a
-permutahedron, whose lattice points are the weak compositions whose sorted
-form is dominated by the top exponent.  Other supports fall back to a
-rational feasibility search per lattice point, never floating-point geometry.
+Everything here is exact.  Schur coefficients are integers summed from one
+Littlewood-Richardson product per even-column shape, and the rank runs in
+integers by fraction-free elimination.  The saturated-Newton-polytope check
+decides a symmetric homogeneous support by Rado's theorem: its Newton
+polytope is a permutahedron, whose lattice points are the weak compositions
+whose sorted form is dominated by the top exponent.  Other supports fall
+back to a feasibility search over ``fractions.Fraction`` per lattice point,
+never floating-point geometry; it is the only code here that uses fractions.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,14 +21,13 @@ from .shapes import (
     Partition,
     check_in_N,
     check_partition,
-    contains,
     dominance_leq,
     even_conjugate_partitions,
     partitions_of,
     trim,
     v_set,
 )
-from .tableaux import lr_coefficient
+from .tableaux import lr_product
 from .polyring import SparsePoly
 
 
@@ -45,16 +47,11 @@ class SchurExpansion:
 
 @lru_cache(maxsize=None)
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:
-    m = n - sum(lam)
-    betas = even_conjugate_partitions(m)
-    items = []
-    for nu in partitions_of(n):
-        if not contains(lam, nu):
-            continue
-        c = sum(lr_coefficient(beta, lam, nu) for beta in betas if contains(beta, nu))
-        if c:
-            items.append((nu, c))
-    return tuple(items)
+    """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu."""
+    total: Counter = Counter()
+    for beta in even_conjugate_partitions(n - sum(lam)):
+        total.update(lr_product(lam, beta))
+    return tuple(sorted(total.items(), reverse=True))
 
 
 def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
@@ -104,23 +101,34 @@ def n_zero(lam: Partition, mu: Partition) -> int:
 
 
 def rational_rank(matrix) -> int:
-    """Rank of an integer matrix by Gaussian elimination over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every entry stays an integer: after each pivot the rows below are
+    cross-multiplied and divided exactly by the previous pivot.  Rows of
+    unequal length and entries that are not ``int`` raise ``ValueError``.
+    """
+    try:
+        rows = [list(row) for row in matrix]
+    except TypeError as exc:
+        raise ValueError(f"not a matrix: {exc}") from exc
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"rows of unequal length: {len(row)} and {ncols}")
+        if any(type(x) is not int for x in row):
+            raise ValueError(f"matrix entries must be integers, got {row}")
+    rank, last = 0, 1
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        p = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(p * a - f * b) // last for a, b in zip(rows[r], top)]
+        last = p
         rank += 1
         if rank == len(rows):
             break

@@ -166,12 +166,8 @@ def cmd_burge(args) -> None:
 
 def cmd_sundaram(args) -> None:
     S = load_ssot(args.ssot)
-    rows = list(correspondences.sundaram_steps(S))
-    pair = (
-        SundaramPair(rows[-1][4], rows[-1][5])
-        if rows
-        else SundaramPair(correspondences.EMPTY_ARRAY, ())
-    )
+    rows = list(correspondences.sundaram_steps(S)) if args.trace else []
+    pair = SundaramPair(rows[-1][4], rows[-1][5]) if rows else correspondences.sundaram(S)
     if args.json:
         payload = pair.to_dict()
         if args.trace:

@@ -289,9 +289,14 @@ def lr_tableaux(lam: Partition, mu: Partition, nu: Partition):
     """Yield the Littlewood-Richardson fillings of ``nu/lam`` with weight ``mu``.
 
     Each filling is returned as full-width rows with ``None`` in the inner
-    cells; the row word must be reverse Yamanouchi.
+    cells; the row word must be reverse Yamanouchi.  Trailing zeros are
+    dropped, and any other non-partition raises ``ValueError``.
     """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    lam, mu, nu = (check_partition(trim(s)) for s in (lam, mu, nu))
+    return _lr_fillings(lam, mu, nu)
+
+
+def _lr_fillings(lam: Partition, mu: Partition, nu: Partition):
     if sum(nu) != sum(lam) + sum(mu) or not contains(lam, nu) or not contains(mu, nu):
         return
     nrows = len(nu)
@@ -338,3 +343,51 @@ def lr_tableaux(lam: Partition, mu: Partition, nu: Partition):
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: the number of LR fillings of ``nu/lam``."""
     return sum(1 for _ in lr_tableaux(lam, mu, nu))
+
+
+def lr_product(mu: Partition, lam: Partition) -> dict[Partition, int]:
+    """Schur expansion of ``s_mu * s_lam``: each ``nu`` with its coefficient ``c^nu_{mu lam}``.
+
+    The boxes of the smaller shape go onto the larger one, its row k as a
+    horizontal strip of k's.  The lattice rule prunes each strip while it is
+    built: the k's in rows <= r may not outnumber the (k-1)'s in rows < r.
+    So every branch ends in an LR filling, and only shapes in the support
+    are built.
+    """
+    mu, lam = (check_partition(trim(s)) for s in (mu, lam))
+    if sum(lam) > sum(mu):
+        mu, lam = lam, mu
+    out: dict[Partition, int] = {}
+
+    def strip(k: int, shape: Partition, caps: list[int]) -> None:
+        # Row k of lam (0-based) goes in as the strip of label k + 1.  caps[r]
+        # counts the previous label in rows < r: the lattice bound on this
+        # label in rows <= r.  Only rows that end in an addable box take boxes.
+        if k == len(lam):
+            out[shape] = out.get(shape, 0) + 1
+            return
+        base = shape + (0,)
+        corners = [0] + [r for r in range(1, len(base)) if base[r - 1] > base[r]]
+        rows = list(base)
+
+        def fill(i: int, left: int, done: int) -> None:
+            if left == 0:
+                nxt, below = [], 0
+                for p, q in zip(rows, base):
+                    nxt.append(below)
+                    below += p - q
+                strip(k + 1, tuple(p for p in rows if p), nxt + [below])
+                return
+            r = corners[i]
+            old = rows[r]
+            room = left if r == 0 else base[r - 1] - old  # one box per column
+            # the rows below r hold at most old boxes
+            for a in range(max(0, left - old), min(left, room, caps[r] - done) + 1):
+                rows[r] = old + a
+                fill(i + 1, left - a, done + a)
+            rows[r] = old
+
+        fill(0, lam[k], 0)
+
+    strip(0, mu, [sum(lam)] * (len(mu) + 1))
+    return out

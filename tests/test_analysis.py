@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,7 +18,8 @@ from oscitab.analysis import (
     ssot_schur,
 )
 from oscitab.polyring import SparsePoly, schur_expand, ssot_poly
-from oscitab.shapes import dominance_leq, lambda_bar, partitions_of, v_set
+from oscitab.shapes import conjugate, dominance_leq, lambda_bar, partitions_of, v_set
+from oscitab.tableaux import lr_coefficient
 
 
 def test_ssot_schur_paper_example():
@@ -133,6 +136,90 @@ def test_similarity_does_not_force_positivity():
     assert hall_inner((3,), (1, 1, 1), 9) == 1
     assert n_similar((4,), (2, 1, 1), 8)
     assert hall_inner((4,), (2, 1, 1), 8) == 0
+
+
+def schur_items_by_lr_coefficient(lam, n):
+    """Sundaram's expansion by a loop over every nu of n, one LR count per (beta, nu)."""
+    betas = [
+        beta
+        for beta in partitions_of(n - sum(lam))
+        if all(c % 2 == 0 for c in conjugate(beta))
+    ]
+    items = []
+    for nu in partitions_of(n):
+        c = sum(lr_coefficient(beta, lam, nu) for beta in betas)
+        if c:
+            items.append((nu, c))
+    return items
+
+
+def test_ssot_schur_matches_lr_coefficient_loop():
+    cases = [
+        (lam, n)
+        for m in range(5)
+        for lam in partitions_of(m)
+        for n in range(m, 13, 2)
+    ]
+    # |lam| > n - |lam| puts beta's boxes onto lam instead
+    cases += [(lam, m + 2) for m in range(5, 8) for lam in partitions_of(m)]
+    for lam, n in cases:
+        expansion = ssot_schur(lam, n)
+        assert list(expansion.coefficients.items()) == schur_items_by_lr_coefficient(lam, n), (lam, n)
+
+
+def fraction_rank(matrix):
+    """Gauss-Jordan rank over Fraction."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rational_rank_matches_fraction_oracle():
+    rng = random.Random(2611)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        inner = rng.randint(1, min(nrows, ncols))
+        # a product of nrows x inner and inner x ncols factors has rank <= inner
+        left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(inner)]
+        for j in rng.sample(range(ncols), rng.randint(0, ncols - 1)):
+            for row in right:
+                row[j] = 0
+        matrix = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left
+        ]
+        assert rational_rank(matrix) == fraction_rank(matrix), matrix
+        full = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+        assert rational_rank(full) == fraction_rank(full), full
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 2], [3]],
+        [[1], [2, 3]],
+        [[1, 2], []],
+        [[1, 0.5]],
+        [[Fraction(1, 2)]],
+        [[True, 0]],
+        [["1"]],
+        [1, 2],
+    ],
+)
+def test_rational_rank_rejects_bad_input(matrix):
+    with pytest.raises(ValueError):
+        rational_rank(matrix)
 
 
 def test_rational_rank():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oscitab import oscillating
+from oscitab import correspondences, oscillating
 from oscitab.cli import build_parser, main, parse_partition
 from oscitab.oscillating import descent_data, enumerate_qyot, render_boxes, run_of, ssot_to_dict
 
@@ -227,6 +227,23 @@ def test_sundaram_without_trace(capsys):
     assert main(["sundaram", str(DATA / "sundaram_example.json")]) == 0
     out = capsys.readouterr().out
     assert out == "burge:   4,2 4,3 7,2\ntableau: 1 4 / 5 / 6\n"
+
+
+def test_sundaram_without_trace_runs_the_checked_map(monkeypatch, tmp_path, capsys):
+    def no_steps(S):
+        raise AssertionError("the substep replay is only for --trace")
+
+    monkeypatch.setattr(correspondences, "sundaram_steps", no_steps)
+    assert main(["sundaram", str(DATA / "sundaram_example.json")]) == 0
+    assert capsys.readouterr().out == "burge:   4,2 4,3 7,2\ntableau: 1 4 / 5 / 6\n"
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"steps": []}))
+    for argv, out in (
+        ([], "burge:   -\ntableau: -\n"),
+        (["--json"], '{\n  "burge": {\n    "pairs": []\n  },\n  "tableau": []\n}\n'),
+    ):
+        assert main(["sundaram", str(path), *argv]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_outputs_are_reproducible(capsys):

@@ -15,6 +15,7 @@ from oscitab.tableaux import (
     is_reverse_yamanouchi,
     is_semistandard,
     lr_coefficient,
+    lr_product,
     lr_tableaux,
     product as tab_product,
     row_insert,
@@ -197,6 +198,32 @@ def test_lr_tableau_witnesses_are_valid():
         word = [x for row in reversed(filling) for x in row if x is not None]
         assert is_reverse_yamanouchi(word)
     assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+
+
+def test_lr_coefficient_trims_zeros_and_rejects_non_partitions():
+    assert lr_coefficient((1, 0), (1,), (2,)) == 1
+    assert lr_coefficient((1,), (1, 0, 0), (1, 1, 0)) == 1
+    assert lr_product((1, 0), (1,)) == {(2,): 1, (1, 1): 1}
+    for args in (((1, 2), (1,), (2, 2)), ((1,), (1, 2), (2, 2)), ((1,), (1,), (1, 2))):
+        with pytest.raises(ValueError):
+            lr_coefficient(*args)
+        with pytest.raises(ValueError):
+            lr_tableaux(*args)  # raises on the call, before any filling is asked for
+    for args in (((1, 2), (1,)), ((1,), (0, 1)), ((1,), (-1,))):
+        with pytest.raises(ValueError):
+            lr_product(*args)
+
+
+def test_lr_product_matches_lr_coefficient():
+    shapes = [lam for m in range(5) for lam in partitions_of(m)]
+    for mu in shapes:
+        for lam in shapes:
+            expected = {
+                nu: c
+                for nu in partitions_of(sum(mu) + sum(lam))
+                if (c := lr_coefficient(mu, lam, nu))
+            }
+            assert lr_product(mu, lam) == expected, (mu, lam)
 
 
 def test_lr_symmetry_small():

@@ -389,5 +389,5 @@ def lr_product(mu: Partition, lam: Partition) -> dict[Partition, int]:
 
         fill(0, lam[k], 0)
 
-    strip(0, mu, [sum(lam)] * (len(mu) + 1))
+    strip(0, mu, [sum(lam)] * (len(mu) + 1))  # label 1 has no lattice bound
     return out

@@ -19,6 +19,7 @@ from types import MappingProxyType
 
 from .shapes import (
     Partition,
+    _weak_refinements,
     check_in_N,
     check_partition,
     dominance_leq,
@@ -216,19 +217,6 @@ class LatticePolytopeCheck:
     snp: bool
 
 
-def _weak_compositions(n: int, k: int):
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _weak_compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def _permutahedron_points(support, degree: int, nvars: int):
     """Lattice points of the Newton polytope of a homogeneous support, or None.
 
@@ -247,7 +235,7 @@ def _permutahedron_points(support, degree: int, nvars: int):
         return None
     return tuple(
         p
-        for p in _weak_compositions(degree, nvars)
+        for p in _weak_refinements(trim((degree,)), nvars)
         if dominance_leq(tuple(sorted(p, reverse=True)), top)
     )
 
@@ -263,15 +251,15 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = sorted(f.terms)
-    inside = None
-    if f.is_homogeneous():
-        inside = _permutahedron_points(f.terms, f.degree(), f.nvars)
-        candidates = _weak_compositions(f.degree(), f.nvars)
-    else:
-        lo = [min(e[i] for e in support) for i in range(f.nvars)]
-        hi = [max(e[i] for e in support) for i in range(f.nvars)]
-        candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    homogeneous = f.is_homogeneous()
+    inside = _permutahedron_points(f.terms, f.degree(), f.nvars) if homogeneous else None
     if inside is None:
+        if homogeneous:
+            candidates = _weak_refinements(trim((f.degree(),)), f.nvars)
+        else:
+            lo = [min(e[i] for e in support) for i in range(f.nvars)]
+            hi = [max(e[i] for e in support) for i in range(f.nvars)]
+            candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         inside = tuple(p for p in candidates if in_convex_hull(p, support))
     return LatticePolytopeCheck(
         support=tuple(support),

@@ -79,13 +79,6 @@ class TwoRowArray:
 EMPTY_ARRAY = TwoRowArray(())
 
 
-def insert_pair(L: TwoRowArray, pair: Pair) -> TwoRowArray:
-    """Lexicographic insertion, placed after any equal pairs."""
-    pairs = list(L.pairs)
-    insort(pairs, tuple(pair))
-    return TwoRowArray(tuple(pairs))
-
-
 def symmetrize(L: TwoRowArray) -> TwoRowArray:
     """Each pair together with its mirror, rearranged lexicographically."""
     if not L.is_lexicographic():

@@ -16,6 +16,7 @@ from .shapes import (
     Box,
     Composition,
     Partition,
+    _weak_refinements,
     add_box,
     addable_boxes,
     check_partition,
@@ -132,7 +133,7 @@ class SSOT:
     steps: tuple[tuple[Partition, Partition], ...]
 
     def __post_init__(self):
-        steps = tuple((tuple(d), tuple(r)) for d, r in self.steps)
+        steps = tuple((check_partition(d), check_partition(r)) for d, r in self.steps)
         object.__setattr__(self, "steps", steps)
         prev: Partition = ()
         for i, (deleted, reached) in enumerate(steps, 1):
@@ -330,6 +331,8 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
                     rows.pop()
                 else:
                     rows[row - 1] -= 1
+            elif kinds[j] != ADD:
+                raise ValueError(f"unknown event kind {kinds[j]!r}")
             else:
                 if deleted is None:
                     deleted = tuple(rows)
@@ -399,12 +402,12 @@ def run_of(x) -> Run:
 def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
     """Validate a (shape, length, bound) query and return the shape without trailing zeros.
 
-    A non-partition shape, a negative length and a bound below 1 raise
-    ``ValueError``.  An inadmissible length is not an error: its answer is
-    empty.
+    A non-partition shape, a length that is not an ``int`` >= 0 and a bound
+    that is not an ``int`` >= 1 raise ``ValueError``.  An inadmissible length
+    is not an error: its answer is empty.
     """
-    if bound < 1:
-        raise ValueError(f"{bound_name} must be at least 1, got {bound}")
+    if type(bound) is not int or bound < 1:
+        raise ValueError(f"{bound_name} must be an integer at least 1, got {bound!r}")
     return check_shape_query(lam, n)
 
 
@@ -479,11 +482,15 @@ def _steps(chain, dels, ends) -> tuple[tuple[Partition, Partition], ...]:
     A block deletes before it adds, so the block of events ``start..end-1``
     deletes down to ``chain[start + its deletions]`` and reaches
     ``chain[end]``; an empty block is the step ``(chain[end], chain[end])``.
-    ``dels[j]`` counts the deletions among the first ``j`` events.
+    ``dels[j]`` counts the deletions among the first ``j`` events.  The
+    steps stop at the last event, so blocks after it are dropped.
     """
+    n = len(chain) - 1
     steps = []
     start = 0
     for end in ends:
+        if start == n:
+            break
         steps.append((chain[start + dels[end] - dels[start]], chain[end]))
         start = end
     return tuple(steps)
@@ -492,40 +499,6 @@ def _steps(chain, dels, ends) -> tuple[tuple[Partition, Partition], ...]:
 def _deletions(kinds) -> list[int]:
     """Deletions among the first ``j`` events, for every ``j``."""
     return list(accumulate((kind == DELETE for kind in kinds), initial=0))
-
-
-def _fiber_ends(n: int, des, max_letter: int):
-    """Letter-block ends of the relabelings of an OT with descent positions ``des``.
-
-    The relabelings are the weakly increasing words in ``1..max_letter``
-    that strictly increase at the descents.  Letter ``v`` labels the events
-    from the end of block ``v-1`` up to ``ends[v-1]``; a block may be empty,
-    except the last.  Words come in lexicographic order, so a block is
-    tried longest first.
-    """
-    if n == 0:
-        yield ()
-        return
-    reach = [n] * n  # reach[j]: the first descent after event j, where a block from j must end
-    later = [0] * n  # later[j]: the descents after event j, each of which needs one more letter
-    for j in range(n - 2, -1, -1):
-        if j + 1 in des:
-            reach[j], later[j] = j + 1, later[j + 1] + 1
-        else:
-            reach[j], later[j] = reach[j + 1], later[j + 1]
-    ends: list[int] = []
-
-    def rec(j: int, v: int):
-        # letters below v label the events before j
-        for end in range(reach[j], j - 1, -1):
-            if end == n:
-                yield (*ends, n)
-            elif v + 1 + later[end] <= max_letter:
-                ends.append(end)
-                yield from rec(end, v + 1)
-                ends.pop()
-
-    yield from rec(0, 1)
 
 
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
@@ -544,15 +517,20 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
 
     Grouped by standardization, in ``enumerate_ot``'s order: for each
     oscillating tableau, the fiber is the set of weakly increasing
-    relabelings that are strict at descents, in lexicographic order.  One
-    walk lists the tableaux and their descents, skipping those with more
-    descents than the letters allow.
+    relabelings that are strict at descents, in lexicographic order.  Their
+    contents are the weak refinements of the descent composition, and letter
+    ``v`` labels the events up to the ``v``-th partial sum.  One walk lists
+    the tableaux and their descents, skipping those with more descents than
+    the letters allow.
     """
     lam = check_tableau_query(lam, n, max_letter, "max_letter")
     out: list[SSOT] = []
     for chain, _, kinds, des in _walk(lam, n, max_letter):
         dels = _deletions(kinds)
-        out.extend(SSOT._of(_steps(chain, dels, ends)) for ends in _fiber_ends(n, set(des), max_letter))
+        out.extend(
+            SSOT._of(_steps(chain, dels, accumulate(c)))
+            for c in _weak_refinements(descent_composition(des, n), max_letter)
+        )
     return out
 
 
@@ -567,7 +545,7 @@ def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, Eve
 
     def walk():
         for chain, boxes, kinds, des in _walk(lam, n, max_step):
-            Q = SSOT._of(_steps(chain, _deletions(kinds), (*des, n) if n else ()))
+            Q = SSOT._of(_steps(chain, _deletions(kinds), (*des, n)))
             yield Q, EventTrace(tuple(_block_letters(n, des)), boxes, kinds), des
 
     return walk()

@@ -4,11 +4,11 @@ Exponent vectors are fixed-length tuples; coefficients are Python ints.
 Serialization order is graded lexicographic, largest first.
 """
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from types import MappingProxyType
 
-from .shapes import Composition, Partition, check_partition, in_N, is_strong, trim
-from .oscillating import check_tableau_query, is_descent, one_box_moves
+from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, trim
+from .oscillating import check_tableau_query, descent_composition, is_descent, one_box_moves
 
 
 class SparsePoly:
@@ -24,8 +24,10 @@ class SparsePoly:
         checked = {}
         for exp, coef in dict(terms or {}).items():
             exp = tuple(exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
+            if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
+            if type(coef) is not int:
+                raise ValueError(f"coefficients must be integers, got {coef!r}")
             checked[exp] = coef
         return cls._of(nvars, checked)
 
@@ -204,40 +206,17 @@ def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     return SparsePoly._of(k, terms)
 
 
-def _add_fundamental(terms: dict, a: Composition, k: int, coef: int) -> None:
-    """Add ``coef * F_a(x_1..x_k)`` into ``terms``.
-
-    F_a sums ``x^content(w)`` over the weakly increasing words ``w`` in 1..k
-    that strictly increase at the descents of ``a``.  Such a word is its
-    content: letter i fills the next ``exp[i]`` positions, and a run of equal
-    letters may not cross the end of a part of ``a``.
-    """
-    ends = list(accumulate(a))
-    n = ends[-1] if ends else 0
-    exp = [0] * k
-
-    def rec(i: int, filled: int, j: int) -> None:
-        # letters below i fill positions 1..filled; ends[j] is the first part end after them
-        if filled == n:
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + coef
-            return
-        if k - i < len(ends) - j:
-            return
-        end = ends[j]
-        for c in range(end - filled + 1):
-            exp[i] = c
-            rec(i + 1, filled + c, j + 1 if filled + c == end else j)
-        exp[i] = 0
-
-    rec(0, 0, 0)
-
-
 def _from_f_coefficients(coefficients: dict[Composition, int], k: int) -> SparsePoly:
-    """The polynomial ``sum_a c_a F_a(x_1..x_k)`` of F-coefficients ``{a: c_a}``."""
+    """The polynomial ``sum_a c_a F_a(x_1..x_k)`` of F-coefficients ``{a: c_a}``.
+
+    F_a sums ``x^c`` over the weak compositions ``c`` of length ``k`` that
+    refine ``a``: the contents of the weakly increasing words in ``1..k`` that
+    strictly increase at the descents of ``a``.
+    """
     terms: dict[tuple[int, ...], int] = {}
-    for a, c in coefficients.items():
-        _add_fundamental(terms, a, k, c)
+    for a, coef in coefficients.items():
+        for exp in _weak_refinements(a, k):
+            terms[exp] = terms.get(exp, 0) + coef
     return SparsePoly._of(k, terms)
 
 
@@ -313,8 +292,7 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     counts: dict[Composition, int] = {}
     for masks in layer.values():
         for mask, c in masks.items():
-            cuts = [j for j in range(1, n) if mask >> j & 1] + [n]
-            comp = tuple(b - a for a, b in zip([0] + cuts, cuts))
+            comp = descent_composition(tuple(j for j in range(1, n) if mask >> j & 1), n)
             counts[comp] = counts.get(comp, 0) + c
     return counts
 

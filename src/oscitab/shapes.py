@@ -6,6 +6,7 @@ modulo trailing zeros.  Boxes are 1-based ``(row, col)`` pairs.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -106,6 +107,42 @@ def ref_set(a) -> tuple[Composition, ...]:
     return tuple(sorted(out, reverse=True))
 
 
+def _weak_refinements(a, k: int) -> list[Composition]:
+    """Weak compositions of length ``k`` whose nonzero parts refine ``a``, lexicographically descending.
+
+    These are the contents of the weakly increasing words in ``1..k`` that
+    strictly increase at the descents of ``a``: the monomials of F_a, and the
+    relabelings of a standard object with descent composition ``a``, words
+    ascending.  Letter i fills the next ``c[i]`` positions, and a run of equal
+    letters may not cross the end of a part of ``a``.  A run is not tried when
+    too few letters would be left to end the remaining parts.
+    """
+    ends = list(accumulate(a))
+    parts, n = len(ends), sum(a)
+    out: list[Composition] = []
+    exp = [0] * k
+
+    def rec(i: int, filled: int, j: int) -> None:
+        # letters below i fill positions 1..filled; ends[j] is the first part end after them
+        end = ends[j]
+        spare = k - 1 - i - (parts - j)  # letters after i left over once every part has ended
+        for c in range(end - filled, -1 if spare >= 0 else end - filled - 1, -1):
+            exp[i] = c
+            if filled + c == n:
+                out.append(tuple(exp))
+            elif filled + c == end:
+                rec(i + 1, end, j + 1)
+            else:
+                rec(i + 1, filled + c, j)
+        exp[i] = 0
+
+    if n == 0:
+        return [(0,) * k]
+    if parts <= k:
+        rec(0, 0, 0)
+    return out
+
+
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """Dominance comparison: every prefix sum of ``mu`` is at most that of ``lam``."""
     if sum(mu) != sum(lam):
@@ -148,9 +185,9 @@ def check_in_N(lam: Partition, n: int) -> None:
 
 
 def check_shape_query(lam, n: int) -> Partition:
-    """The shape without trailing zeros; ``ValueError`` for a non-partition or ``n < 0``."""
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
+    """The shape without trailing zeros; ``ValueError`` for a non-partition or an ``n`` that is not an ``int`` >= 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
     return check_partition(trim(lam))
 
 

@@ -69,8 +69,8 @@ def row_word(T: Tableau) -> tuple[int, ...]:
 
 
 def _check_letter(x) -> None:
-    if x < 1:
-        raise ValueError(f"tableau entries must be positive, got {x}")
+    if type(x) is not int or x < 1:
+        raise ValueError(f"tableau entries must be positive integers, got {x!r}")
 
 
 def _row_insert(rows: list[list[int]], x: int) -> Box:

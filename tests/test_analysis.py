@@ -7,7 +7,6 @@ import pytest
 
 from oscitab.analysis import (
     _permutahedron_points,
-    _weak_compositions,
     hall_inner,
     has_snp,
     in_convex_hull,
@@ -18,7 +17,7 @@ from oscitab.analysis import (
     ssot_schur,
 )
 from oscitab.polyring import SparsePoly, schur_expand, ssot_poly
-from oscitab.shapes import conjugate, dominance_leq, lambda_bar, partitions_of, v_set
+from oscitab.shapes import _weak_refinements, conjugate, dominance_leq, lambda_bar, partitions_of, trim, v_set
 from oscitab.tableaux import lr_coefficient
 
 
@@ -317,7 +316,7 @@ def _lp_points(f):
     support = list(f.terms)
     return tuple(
         p
-        for p in _weak_compositions(f.degree(), f.nvars)
+        for p in _weak_refinements(trim((f.degree(),)), f.nvars)
         if p in f.terms or in_convex_hull(p, support)
     )
 

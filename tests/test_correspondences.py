@@ -8,7 +8,6 @@ from oscitab.correspondences import (
     SundaramPair,
     TwoRowArray,
     burge_map,
-    insert_pair,
     sundaram,
     sundaram_inverse,
     sundaram_steps,
@@ -75,13 +74,6 @@ def test_array_from_dict():
     for data in ({}, {"pairs": [3]}, {"pairs": 3}, {"pairs": [["3", "1"]]}):
         with pytest.raises(ValueError):
             TwoRowArray.from_dict(data)
-
-
-def test_insert_pair_is_stable_sorted():
-    L = insert_pair(insert_pair(EMPTY_ARRAY, (4, 2)), (4, 3))
-    L = insert_pair(L, (4, 2))
-    assert L.pairs == ((4, 2), (4, 2), (4, 3))
-    assert L.is_lexicographic()
 
 
 def test_burge_map():

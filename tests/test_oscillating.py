@@ -215,6 +215,9 @@ def test_ssot_validation():
         SSOT((((), (1, 1)),))  # added boxes not a horizontal strip
     with pytest.raises(ValueError):
         SSOT((((), (2,)), ((3,), (3, 1))))  # deleted shape not inside previous
+    for shape in ((1, -1), (2, 0), (0,), (1.5,)):
+        with pytest.raises(ValueError):
+            SSOT((((), shape),))  # not a partition
     assert EMPTY_SSOT.length == 0 and EMPTY_SSOT.shape == () and EMPTY_SSOT.step == 0
 
 
@@ -397,6 +400,8 @@ def test_ssot_from_events_rejects_bad_orders():
         ssot_from_events([1, 1], [(1, 2), (1, 1)], [ADD, ADD])
     with pytest.raises(ValueError):
         ssot_from_events([2, 1], [(1, 1), (1, 2)], [ADD, ADD])
+    with pytest.raises(ValueError):
+        ssot_from_events((1,), ((1, 1),), ("bogus",))
 
 
 def test_ssot_from_events_rejects_corrupted_traces():
@@ -491,7 +496,7 @@ def test_enumerate_ssot_edge_cases():
             enumerate_ssot(lam, n, k)
         with pytest.raises(ValueError):
             enumerate_qyot(lam, n, k)
-    for lam, n in (((1, 2), 3), ((2, 1), -1)):
+    for lam, n in (((1, 2), 3), ((2, 1), -1), ((1,), 3.0)):
         with pytest.raises(ValueError):
             enumerate_ot(lam, n)
 

@@ -45,7 +45,15 @@ def test_ring_operations():
     assert (f - f).is_zero()
     with pytest.raises(ValueError):
         x1 + SparsePoly.variable(0, 3)
-    for nvars, terms in ((-1, {}), (2, {(1,): 1}), (2, {(1, -1): 1})):
+    for nvars, terms in (
+        (-1, {}),
+        (2, {(1,): 1}),
+        (2, {(1, -1): 1}),
+        (2, {(1, 1): 1.5}),
+        (2, {(1, 1): True}),
+        (2, {(0.5, 1): 1}),
+        (2, {(True, 1): 1}),
+    ):
         with pytest.raises(ValueError):
             SparsePoly(nvars, terms)
     assert SparsePoly.variable(1, 3) == poly_from_pairs(3, {(0, 1, 0): 1})
@@ -211,7 +219,14 @@ def test_descent_count_edge_cases():
 
 
 def test_bad_queries_raise():
-    for lam, n, bound in (((2, 1), -1, 3), ((2, 1), 5, 0), ((1, 2), 5, 3), ((2, -1), 5, 3)):
+    for lam, n, bound in (
+        ((2, 1), -1, 3),
+        ((2, 1), 5, 0),
+        ((1, 2), 5, 3),
+        ((2, -1), 5, 3),
+        ((1,), 3.0, 2),
+        ((1,), 3, 2.0),
+    ):
         with pytest.raises(ValueError):
             f_expansion(lam, n, bound)
         with pytest.raises(ValueError):

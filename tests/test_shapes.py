@@ -1,8 +1,9 @@
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 from oscitab.shapes import (
+    _weak_refinements,
     add_box,
     addable_boxes,
     conjugate,
@@ -116,6 +117,26 @@ def test_refines_agrees_with_ref_set():
             for b in all_strong_compositions(n):
                 assert refines(b, a) == (b in members)
                 assert refines(b, a) == splits_into_blocks(b, a)
+
+
+def test_weak_refinements_match_brute_force():
+    # every weak composition of |a| into k parts whose partial sums contain
+    # those of a, lexicographically descending
+    cases = 0
+    for n in range(7):
+        for k in range(6):
+            weak = sorted((c for c in product(range(n + 1), repeat=k) if sum(c) == n), reverse=True)
+            for a in all_strong_compositions(n):
+                ends = set(accumulate(a))
+                expected = [c for c in weak if ends <= set(accumulate(c))]
+                assert _weak_refinements(a, k) == expected, (a, k)
+                cases += 1
+    assert cases == 6 * 64
+    assert _weak_refinements((), 0) == [()]
+    assert _weak_refinements((), 3) == [(0, 0, 0)]
+    assert _weak_refinements((1,), 0) == []
+    assert _weak_refinements((1, 1, 1), 2) == []  # more parts than letters
+    assert _weak_refinements((2, 1), 3) == [(2, 1, 0), (2, 0, 1), (1, 1, 1), (0, 2, 1)]
 
 
 def test_dominance():

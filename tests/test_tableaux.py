@@ -84,7 +84,7 @@ def test_check_tableau_rejects_non_integer_entries():
 
 
 def test_insertions_reject_letters_below_1():
-    for x in (0, -3):
+    for x in (0, -3, 2.5, True):
         with pytest.raises(ValueError):
             column_insert(((1, 2),), x)
         with pytest.raises(ValueError):

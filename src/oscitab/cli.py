@@ -10,6 +10,7 @@ import functools
 import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
@@ -51,16 +52,48 @@ def fmt_tableau(rows) -> str:
     return " / ".join(" ".join(str(x) for x in row) for row in rows)
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """JSON text of ``obj`` with an indent of 2, in the bytes of the standard library's encoder.
+
+    ``obj`` is built of dicts with ``str`` keys, lists, strings, ints,
+    booleans and None; anything else raises ``TypeError``.  ``pad`` is the
+    newline and indent that precede the line ``obj`` ends on; each nesting
+    level adds two spaces.
+    """
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if type(obj) is list:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        ) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def emit_json_items(head: dict, key: str, items) -> None:
     """Print ``emit_json({**head, key: list(items)})`` one item at a time, in the same bytes."""
-    text = json.dumps({**head, key: []}, indent=2)
+    text = _dumps({**head, key: []})
     separator = text[: -len("[]\n}")] + "["  # the key comes last, so its empty list ends the text
     for item in items:
-        sys.stdout.write(separator + "\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+        sys.stdout.write(separator + "\n    " + _dumps(item, "\n    "))
         separator = ","
     sys.stdout.write("\n  ]\n}\n" if separator == "," else text + "\n")
 

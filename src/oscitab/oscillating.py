@@ -234,7 +234,12 @@ def replay_events(boxes, kinds) -> tuple[Partition, ...]:
     current: Partition = ()
     chain = [current]
     for box, kind in zip(boxes, kinds):
-        current = add_box(current, box) if kind == ADD else remove_box(current, box)
+        if kind == ADD:
+            current = add_box(current, box)
+        elif kind == DELETE:
+            current = remove_box(current, box)
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
         chain.append(current)
     return tuple(chain)
 
@@ -565,15 +570,17 @@ def render_boxes(x) -> list[list[str]]:
     """Multiset-tableau display: per box, the letters that ever touched it (of an SSOT, OT or event trace)."""
     events = _events_of(x)
     cells: dict[Box, list[int]] = {}
+    widths: list[int] = []  # per row, the rightmost column touched; a row is first touched after the one above
     for u, box in zip(events.profile, events.boxes):
         cells.setdefault(box, []).append(u)
-    if not cells:
-        return []
-    nrows = max(r for r, _ in cells)
-    widths = [max(c for r, c in cells if r == row) for row in range(1, nrows + 1)]
+        row, col = box
+        if row > len(widths):
+            widths.append(col)
+        elif col > widths[row - 1]:
+            widths[row - 1] = col
     return [
-        ["".join(str(u) for u in cells[(row, col)]) for col in range(1, widths[row - 1] + 1)]
-        for row in range(1, nrows + 1)
+        ["".join(str(u) for u in cells[(row, col)]) for col in range(1, width + 1)]
+        for row, width in enumerate(widths, 1)
     ]
 
 

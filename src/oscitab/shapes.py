@@ -15,7 +15,7 @@ Box = tuple[int, int]
 
 def is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing tuple of positive integers."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

@@ -1,10 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from oscitab import correspondences, oscillating
-from oscitab.cli import build_parser, main, parse_partition
+from oscitab.cli import _dumps, build_parser, main, parse_partition
 from oscitab.oscillating import descent_data, enumerate_qyot, render_boxes, run_of, ssot_to_dict
 
 DATA = Path(__file__).parent / "data"
@@ -28,6 +29,13 @@ GOLDEN_CASES = [
     ("independence_3_5.json.txt", ["independence", "3", "5", "--json"]),
     ("snp_21_5_3.json.txt", ["snp", "2,1", "5", "3", "--json"]),
     ("ssot_poly_21_5_2.txt", ["ssot-poly", "2,1", "5", "2"]),
+    (
+        "sundaram_trace.json.txt",
+        ["sundaram", str(DATA / "sundaram_example.json"), "--json", "--trace"],
+    ),
+    ("ssot_poly_21_5_2.json.txt", ["ssot-poly", "2,1", "5", "2", "--json"]),
+    ("vset_21_7.json.txt", ["vset", "2,1", "7", "--json"]),
+    ("n0_3_111.json.txt", ["n0", "3", "1,1,1", "--json"]),
 ]
 
 
@@ -50,6 +58,52 @@ def test_golden_values_spot_checks():
     }
     burge = json.loads((GOLDEN / "burge_example.json.txt").read_text())
     assert burge["tableau"] == [[2, 2], [3, 4], [4], [7]]
+
+
+STRING_PIECES = ["", "a", "steps", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "λ", "€", "\U0001f600", "\ud800", "/"]
+
+
+def random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(STRING_PIECES) for _ in range(rng.randrange(4)))
+
+
+def random_json_value(rng: random.Random, depth: int):
+    """A value nested at most 5 containers deep below ``depth``; a third of the non-leaf draws are containers."""
+    kind = rng.randrange(9 if depth < 5 else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind in (1, 2):
+        return rng.choice([0, 1, -1, 7, -12345, 2**64 + 3, -(2**70), rng.randrange(-(10**30), 10**30)])
+    if kind < 6:
+        return random_string(rng)
+    size = rng.randrange(4)
+    if kind == 6:
+        return {random_string(rng): random_json_value(rng, depth + 1) for _ in range(size)}
+    return [random_json_value(rng, depth + 1) for _ in range(size)]
+
+
+def value_depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(value_depth, value), default=0)
+    return 0
+
+
+def test_dumps_matches_json_dumps_indent_2():
+    rng = random.Random(20261018)
+    values = [{}, [], [{}], {"a": []}, True, False, None, -(2**64) - 1, 2**64 + 1, '"\\\x00é\U0001f600']
+    values += [random_json_value(rng, 0) for _ in range(400)]
+    assert max(value_depth(v) for v in values) == 5
+    for value in values:
+        assert _dumps(value) == json.dumps(value, indent=2)
+        assert _dumps(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1, 2}, [1, (2,)], {"a": 0.0}, {1: 2}])
+def test_dumps_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
 
 
 def test_parse_partition():

@@ -215,7 +215,7 @@ def test_ssot_validation():
         SSOT((((), (1, 1)),))  # added boxes not a horizontal strip
     with pytest.raises(ValueError):
         SSOT((((), (2,)), ((3,), (3, 1))))  # deleted shape not inside previous
-    for shape in ((1, -1), (2, 0), (0,), (1.5,)):
+    for shape in ((1, -1), (2, 0), (0,), (1.5,), (True,)):
         with pytest.raises(ValueError):
             SSOT((((), shape),))  # not a partition
     assert EMPTY_SSOT.length == 0 and EMPTY_SSOT.shape == () and EMPTY_SSOT.step == 0
@@ -404,6 +404,13 @@ def test_ssot_from_events_rejects_bad_orders():
         ssot_from_events((1,), ((1, 1),), ("bogus",))
 
 
+
+def test_replay_events_rejects_unknown_kinds():
+    assert replay_events([(1, 1), (1, 1)], [ADD, DELETE]) == ((), (1,), ())
+    with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+        replay_events([(1, 1), (1, 1)], [ADD, "bogus"])
+
+
 def test_ssot_from_events_rejects_corrupted_traces():
     # a box moved by one row or column gives either a ValueError or the
     # trace of another SSOT; a row of 0 or -1 is never a box
@@ -491,12 +498,12 @@ def test_enumerate_ssot_edge_cases():
     assert enumerate_ssot((), 1, 3) == []
     assert len(enumerate_ssot((2, 1), 3, 3)) == 8
     assert enumerate_ssot((2, 1, 0), 3, 3) == enumerate_ssot((2, 1), 3, 3)
-    for lam, n, k in (((), 0, 0), ((1,), 1, 0), ((1,), -1, 3), ((1, 2), 3, 3)):
+    for lam, n, k in (((), 0, 0), ((1,), 1, 0), ((1,), -1, 3), ((1, 2), 3, 3), ((True,), 1, 2)):
         with pytest.raises(ValueError):
             enumerate_ssot(lam, n, k)
         with pytest.raises(ValueError):
             enumerate_qyot(lam, n, k)
-    for lam, n in (((1, 2), 3), ((2, 1), -1), ((1,), 3.0)):
+    for lam, n in (((1, 2), 3), ((2, 1), -1), ((1,), 3.0), ((True,), 1)):
         with pytest.raises(ValueError):
             enumerate_ot(lam, n)
 

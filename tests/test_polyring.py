@@ -224,6 +224,7 @@ def test_bad_queries_raise():
         ((2, 1), 5, 0),
         ((1, 2), 5, 3),
         ((2, -1), 5, 3),
+        ((True,), 1, 2),
         ((1,), 3.0, 2),
         ((1,), 3, 2.0),
     ):

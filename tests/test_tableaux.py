@@ -209,7 +209,7 @@ def test_lr_coefficient_trims_zeros_and_rejects_non_partitions():
             lr_coefficient(*args)
         with pytest.raises(ValueError):
             lr_tableaux(*args)  # raises on the call, before any filling is asked for
-    for args in (((1, 2), (1,)), ((1,), (0, 1)), ((1,), (-1,))):
+    for args in (((1, 2), (1,)), ((1,), (0, 1)), ((1,), (-1,)), ((True,), (1,))):
         with pytest.raises(ValueError):
             lr_product(*args)
 

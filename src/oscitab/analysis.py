@@ -138,8 +138,8 @@ def rational_rank(matrix) -> int:
 
 def independence_rank(m: int, n: int) -> int:
     """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``."""
-    if m < 0:
-        raise ValueError(f"size must be nonnegative, got {m}")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"size must be a nonnegative integer, got {m!r}")
     check_in_N((1,) * m, n)
     lams = partitions_of(m)
     nus = partitions_of(n)
@@ -157,13 +157,16 @@ def in_convex_hull(point, points) -> bool:
     """Exact membership of ``point`` in the convex hull of ``points``.
 
     Phase-one simplex with Bland's rule over Fractions: feasibility of
-    nonnegative weights summing to 1 with the prescribed barycenter.
+    nonnegative weights summing to 1 with the prescribed barycenter.  A point
+    of another dimension than ``point`` raises ``ValueError``.
     """
     points = [tuple(p) for p in points]
     point = tuple(point)
+    k = len(point)
+    if any(len(p) != k for p in points):
+        raise ValueError(f"points must all have the dimension {k} of {point}")
     if not points:
         return False
-    k = len(point)
     ncols = len(points)
     nrows = k + 1
     total = ncols + nrows

@@ -7,7 +7,8 @@ Serialization order is graded lexicographic, largest first.
 from itertools import combinations
 from types import MappingProxyType
 
-from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, trim
+from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, partitions_of, trim
+from .tableaux import lr_product
 from .oscillating import check_tableau_query, descent_composition, is_descent, one_box_moves
 
 
@@ -348,11 +349,13 @@ def is_symmetric(f: SparsePoly) -> bool:
 
 
 def schur_expand(f: SparsePoly) -> dict[Partition, int]:
-    """Expand a symmetric homogeneous polynomial in Schur polynomials.
+    """Expand a symmetric homogeneous polynomial in Schur polynomials, lex-descending.
 
-    Repeatedly subtracts the Schur polynomial at the lex-largest partition
-    exponent in the support.  Requires at least as many variables as the
-    degree, so that no partition of the degree is truncated away.
+    The s_nu with at most ``nvars`` parts are a basis, and [x^mu] s_nu is the
+    Kostka number K(nu, mu), unitriangular in dominance order (Stanley, EC2
+    7.10-7.12).  So, lex-largest mu first, c_mu is f's coefficient at mu less
+    the c_nu K(nu, mu) of the nu found before.  K(., mu) is h_mu in the Schur
+    basis: one ``lr_product`` Pieri strip per part of mu.
     """
     if f.is_zero():
         return {}
@@ -360,17 +363,20 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
         raise ValueError("schur expansion needs a homogeneous polynomial")
     if not is_symmetric(f):
         raise ValueError("schur expansion needs a symmetric polynomial")
-    n = f.degree()
-    if f.nvars < n:
-        raise ValueError(f"need at least {n} variables to expand degree {n}, got {f.nvars}")
     out: dict[Partition, int] = {}
-    g = f
-    while not g.is_zero():
-        pivots = [e for e in g.terms if all(e[i] >= e[i + 1] for i in range(len(e) - 1))]
-        # a nonzero symmetric polynomial always has a partition exponent
-        pivot = max(pivots)
-        coef = g.coefficient(pivot)
-        nu = trim(pivot)
-        out[nu] = coef
-        g = g + schur_poly(nu, f.nvars).scale(-coef)
-    return dict(sorted(out.items(), reverse=True))
+    for mu in partitions_of(f.degree()):
+        if len(mu) > f.nvars:
+            continue
+        h_mu: dict[Partition, int] = {(): 1}  # K(nu, mu) at each nu
+        for part in mu:
+            folded: dict[Partition, int] = {}
+            for shape, a in h_mu.items():
+                for nu, b in lr_product(shape, (part,)).items():
+                    folded[nu] = folded.get(nu, 0) + a * b
+            h_mu = folded
+        # mu itself is not solved yet, so out.get skips it
+        c = f.coefficient(mu + (0,) * (f.nvars - len(mu)))
+        c -= sum(out.get(nu, 0) * K for nu, K in h_mu.items())
+        if c:
+            out[mu] = c
+    return out

@@ -177,10 +177,10 @@ def in_N(lam: Partition, n: int) -> bool:
 
 
 def check_in_N(lam: Partition, n: int) -> None:
-    """Raise ``ValueError`` unless ``n`` is an admissible length for ``lam`` (see ``in_N``)."""
-    if not in_N(lam, n):
+    """Raise ``ValueError`` unless ``n`` is an ``int`` admissible as a length for ``lam`` (see ``in_N``)."""
+    if type(n) is not int or not in_N(lam, n):
         raise ValueError(
-            f"{n} not admissible for {tuple(lam)}: need n >= |lam| and n == |lam| (mod 2)"
+            f"{n!r} not admissible for {tuple(lam)}: need n >= |lam| and n == |lam| (mod 2)"
         )
 
 

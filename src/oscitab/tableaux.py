@@ -51,12 +51,21 @@ def check_tableau(T) -> Tableau:
 
 
 def weight(T: Tableau, nvars: int | None = None) -> Composition:
-    """Content vector: multiplicity of each letter 1..max (or padded to ``nvars``)."""
-    top = nvars if nvars is not None else max((x for row in T for x in row), default=0)
+    """Content vector: multiplicity of each letter 1..max (or padded to ``nvars``).
+
+    Entries must be positive ``int``s, and at most ``nvars`` when it is given.
+    """
+    if nvars is not None and (type(nvars) is not int or nvars < 0):
+        raise ValueError(f"nvars must be a nonnegative integer, got {nvars!r}")
+    letters = [x for row in T for x in row]
+    for x in letters:
+        _check_letter(x)
+    top = nvars if nvars is not None else max(letters, default=0)
     counts = [0] * top
-    for row in T:
-        for x in row:
-            counts[x - 1] += 1
+    for x in letters:
+        if x > top:
+            raise ValueError(f"entry {x} exceeds nvars = {nvars}")
+        counts[x - 1] += 1
     return tuple(counts)
 
 

@@ -49,8 +49,9 @@ def test_schur_expansions_hash_by_value():
 def test_ssot_schur_trivial_degree():
     for lam in ((), (1,), (3, 1), (2, 2)):
         assert ssot_schur(lam, sum(lam)).coefficients == {lam: 1}
-    with pytest.raises(ValueError):
-        ssot_schur((2, 1), 4)
+    for lam, n in (((2, 1), 4), ((1,), True), ((1,), 3.0)):
+        with pytest.raises(ValueError):
+            ssot_schur(lam, n)
 
 
 def test_ssot_schur_algebraic_oracle_single_row():
@@ -92,6 +93,8 @@ def test_hall_inner_examples():
         hall_inner((2,), (1, 1, 1), 5)
     with pytest.raises(ValueError):
         hall_inner((3,), (1, 1, 1), 4)
+    with pytest.raises(ValueError):
+        hall_inner((1,), (1,), 3.0)
 
 
 def test_non_partition_shapes_raise():
@@ -233,7 +236,7 @@ def test_independence_rank_examples():
     assert independence_rank(3, 5) == 3
     assert independence_rank(1, 1) == 1
     assert independence_rank(4, 6) == 5
-    for m, n in ((3, 4), (-1, 1), (-2, 0)):
+    for m, n in ((3, 4), (-1, 1), (-2, 0), (2, 4.0), (2.0, 4), (True, 1)):
         with pytest.raises(ValueError):
             independence_rank(m, n)
 
@@ -247,6 +250,9 @@ def test_in_convex_hull():
     assert not in_convex_hull((1, 1), [(0, 0), (2, 0)])
     assert in_convex_hull((5,), [(5,)])
     assert not in_convex_hull((4,), [(5,)])
+    for point, points in (((1,), [(1, 5)]), ((1, 2), [(1,)]), ((1, 1), [(0, 0), (2, 2, 0)])):
+        with pytest.raises(ValueError):
+            in_convex_hull(point, points)
 
 
 def test_hull_contains_own_support():

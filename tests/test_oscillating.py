@@ -226,6 +226,9 @@ def test_ot_validation():
         OscillatingTableau((((1,),),))
     with pytest.raises(ValueError):
         OscillatingTableau(((), (1,), (2, 1)))
+    for chain in (((), (2,)), ((), (1,), (1,)), ((), (1.0,)), ((), (True,)), ((), (1,), (1, True))):
+        with pytest.raises(ValueError, match="does not change exactly one box"):
+            OscillatingTableau(chain)
     O = OscillatingTableau(((), (1,), (1, 1)))
     assert O.shape == (1, 1) and O.length == 2
 
@@ -403,6 +406,20 @@ def test_ssot_from_events_rejects_bad_orders():
     with pytest.raises(ValueError):
         ssot_from_events((1,), ((1, 1),), ("bogus",))
 
+
+
+def test_ssot_from_events_rejects_letters_and_boxes_that_are_not_integers():
+    assert ssot_from_events([1], [(1, 1)], [ADD]).steps == (((), (1,)),)
+    for profile, boxes in (
+        (["a"], [(1, 1)]),
+        ([1.0], [(1, 1)]),
+        ([True], [(1, 1)]),
+        ([1], [5]),
+        ([1], [(1, 1.0)]),
+        ([1], [(1, 1, 1)]),
+    ):
+        with pytest.raises(ValueError):
+            ssot_from_events(profile, boxes, [ADD])
 
 
 def test_replay_events_rejects_unknown_kinds():

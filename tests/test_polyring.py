@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from oscitab.analysis import ssot_schur
 from oscitab.oscillating import com, descent_data, enumerate_qyot, enumerate_ssot
 from oscitab.polyring import (
     SparsePoly,
@@ -306,6 +307,7 @@ def test_schur_expand():
     square = schur_poly((1,), 2) * schur_poly((1,), 2)
     assert schur_expand(square) == {(2,): 1, (1, 1): 1}
     assert schur_expand(SparsePoly.zero(3)) == {}
+    assert schur_expand(SparsePoly(0, {(): 3})) == {(): 3}
 
 
 def test_schur_expand_unit_vectors():
@@ -314,11 +316,26 @@ def test_schur_expand_unit_vectors():
             assert schur_expand(schur_poly(nu, m)) == {nu: 1}
 
 
+def test_schur_expand_matches_lr_layer_in_few_variables():
+    # in k variables the DP's polynomial keeps the LR coefficients of the nu
+    # with at most k parts: the OT-descent DP against Sundaram's LR sum
+    cases = 0
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 9, 2):
+                want = ssot_schur(lam, n).coefficients
+                for k in sorted({1, 2, 3, n} - {0}):
+                    cut = {nu: c for nu, c in want.items() if len(nu) <= k}
+                    assert schur_expand(ssot_poly(lam, n, k)) == cut, (lam, n, k)
+                    cases += 1
+    assert cases == 155
+
+
 def test_schur_expand_errors():
     with pytest.raises(ValueError):
         schur_expand(poly_from_pairs(2, {(2, 1): 1}))  # not symmetric
-    with pytest.raises(ValueError):
-        schur_expand(schur_poly((2, 1), 2))  # 2 variables for degree 3
+    # fewer variables than the degree: the s_nu with at most nvars parts are a basis
+    assert schur_expand(schur_poly((2, 1), 2)) == {(2, 1): 1}
     mixed = SparsePoly.one(2) + schur_poly((1,), 2)
     with pytest.raises(ValueError):
         schur_expand(mixed)

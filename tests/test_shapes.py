@@ -201,7 +201,7 @@ def test_lambda_bar():
     assert lambda_bar((2, 1), 5) == (3, 2)
     assert lambda_bar((3,), 7) == (5, 2)
     assert lambda_bar((2, 1), 3) == (2, 1)
-    for lam, n in (((2, 1), 4), ((1, 2), 5), ((2, 1), -1)):
+    for lam, n in (((2, 1), 4), ((1, 2), 5), ((2, 1), -1), ((1,), 3.0), ((1,), True)):
         with pytest.raises(ValueError):
             lambda_bar(lam, n)
 

@@ -83,6 +83,13 @@ def test_check_tableau_rejects_non_integer_entries():
             check_tableau(T)
 
 
+def test_weight_rejects_entries_above_nvars():
+    assert weight(((1, 3),), 3) == (1, 0, 1)
+    for T, nvars in ((((3,),), 2), (((1,), (2.0,)), 2), (((0,),), 2), (((1,),), 2.0), ((), -1)):
+        with pytest.raises(ValueError):
+            weight(T, nvars)
+
+
 def test_insertions_reject_letters_below_1():
     for x in (0, -3, 2.5, True):
         with pytest.raises(ValueError):

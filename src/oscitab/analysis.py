@@ -140,7 +140,8 @@ def independence_rank(m: int, n: int) -> int:
     """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``."""
     if type(m) is not int or m < 0:
         raise ValueError(f"size must be a nonnegative integer, got {m!r}")
-    check_in_N((1,) * m, n)
+    if type(n) is not int or n < m or (n - m) % 2:
+        raise ValueError(f"length {n!r} not admissible for size {m}: need n >= {m} and n == {m} (mod 2)")
     lams = partitions_of(m)
     nus = partitions_of(n)
     index = {nu: j for j, nu in enumerate(nus)}

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
-from .oscillating import SSOT, Run, descent_composition, render_boxes
+from .oscillating import SSOT, descent_composition
 from .shapes import Partition, v_set
 
 
@@ -72,9 +72,7 @@ def _dumps(obj, pad: str = "\n") -> str:
         return "false"
     inner = pad + "  "
     if type(obj) is list:
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
+        return _list_text([_dumps(v, inner) for v in obj], pad)
     if type(obj) is dict:
         if not obj:
             return "{}"
@@ -84,18 +82,16 @@ def _dumps(obj, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _list_text(items: list[str], pad: str) -> str:
+    """JSON text of a list, as ``_dumps`` writes it after ``pad``, from its items' texts at the next indent."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def emit_json(obj) -> None:
     print(_dumps(obj))
-
-
-def emit_json_items(head: dict, key: str, items) -> None:
-    """Print ``emit_json({**head, key: list(items)})`` one item at a time, in the same bytes."""
-    text = _dumps({**head, key: []})
-    separator = text[: -len("[]\n}")] + "["  # the key comes last, so its empty list ends the text
-    for item in items:
-        sys.stdout.write(separator + "\n    " + _dumps(item, "\n    "))
-        separator = ","
-    sys.stdout.write("\n  ]\n}\n" if separator == "," else text + "\n")
 
 
 def load_ssot(path: str) -> SSOT:
@@ -109,30 +105,74 @@ def load_ssot(path: str) -> SSOT:
     return oscillating.ssot_from_dict(data)
 
 
+# a listed tableau, one of its steps and one row of its boxes, as _dumps writes
+# them in the listing; cells and runs are digits and bars, which need no escape
+_QYOT_ITEM = '\n    {\n      "steps": %s,\n      "boxes": %s,\n      "run": "%s",\n      "descent_composition": %s\n    }'
+_QYOT_STEP = '{\n          "deleted": %s,\n          "reached": %s\n        }'
+_QYOT_ROW = '[\n          "%s"\n        ]'
+
+
+def _listed_qyot(lam: Partition, n: int, k: int, limit):
+    """The tableaux of ``enumerate-qyot``, at most ``limit`` of them, one pass over the walk.
+
+    Yields the walk's chain, kinds and descents, then the box rows, the run
+    and the descent composition.  Letter ``i`` labels the ``i``-th run
+    between descents.  A box row lists each cell's letters in order, as
+    ``render_boxes`` does, and the run is the letters with a bar at each
+    descent, as ``Run`` prints it.  The query must have been checked.
+    """
+    for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
+        comp = descent_composition(des, n)
+        cells: dict = {}
+        widths: list[int] = []  # per row, the rightmost column touched; a row is first touched after the one above
+        start = 0
+        for letter, size in enumerate(comp, 1):
+            u = str(letter)
+            for box in boxes[start : start + size]:
+                cells[box] = cells.get(box, "") + u
+                row, col = box
+                if row > len(widths):
+                    widths.append(col)
+                elif col > widths[row - 1]:
+                    widths[row - 1] = col
+            start += size
+        rows = [[cells[row, col] for col in range(1, width + 1)] for row, width in enumerate(widths, 1)]
+        run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
+        yield chain, kinds, des, rows, run, comp
+
+
 def cmd_enumerate_qyot(args) -> None:
     lam = parse_partition(args.partition)
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"limit must be nonnegative, got {args.limit}")
-    count = sum(polyring.f_expansion(lam, args.n, args.k).values())
-    listed = islice(oscillating.walk_qyot(lam, args.n, args.k), args.limit)
-    if args.json:
-        emit_json_items(
-            {"partition": list(lam), "length": args.n, "max_step": args.k, "count": count},
-            "tableaux",
-            (
-                {
-                    "steps": oscillating.ssot_to_dict(Q)["steps"],
-                    "boxes": render_boxes(events),
-                    "run": str(Run(events.profile, frozenset(des))),
-                    "descent_composition": list(descent_composition(des, args.n)),
-                }
-                for Q, events, des in listed
-            ),
-        )
+    count = sum(polyring.f_expansion(lam, args.n, args.k).values())  # checks the query
+    listed = _listed_qyot(lam, args.n, args.k, args.limit)
+    if not args.json:
+        print(f"{count} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
+        for _, _, _, rows, run, _ in listed:
+            print(f"{fmt_tableau(rows):<32} {run}")
         return
-    print(f"{count} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
-    for _, events, des in listed:
-        print(f"{fmt_tableau(render_boxes(events)):<32} {Run(events.profile, frozenset(des))}")
+    shapes: dict[Partition, str] = {}  # each partition's text at the indent of "deleted" and "reached"
+
+    def shape(p: Partition) -> str:
+        return shapes.get(p) or shapes.setdefault(p, _dumps(list(p), "\n          "))
+
+    text = _dumps({"partition": list(lam), "length": args.n, "max_step": args.k, "count": count, "tableaux": []})
+    separator = text[: -len("[]\n}")] + "["  # the tableaux come last, so their empty list ends the text
+    for chain, kinds, des, rows, run, comp in listed:
+        steps = oscillating._steps(chain, oscillating._deletions(kinds), (*des, args.n))
+        sys.stdout.write(
+            separator
+            + _QYOT_ITEM
+            % (
+                _list_text([_QYOT_STEP % (shape(d), shape(r)) for d, r in steps], "\n      "),
+                _list_text([_QYOT_ROW % '",\n          "'.join(row) for row in rows], "\n      "),
+                run,
+                _list_text(list(map(str, comp)), "\n      "),
+            )
+        )
+        separator = ","
+    sys.stdout.write("\n  ]\n}\n" if separator == "," else text + "\n")
 
 
 def cmd_expand_f(args) -> None:

@@ -4,7 +4,9 @@ Exponent vectors are fixed-length tuples; coefficients are Python ints.
 Serialization order is graded lexicographic, largest first.
 """
 
+from collections import Counter
 from itertools import combinations
+from math import factorial
 from types import MappingProxyType
 
 from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, partitions_of, trim
@@ -223,6 +225,8 @@ def _from_f_coefficients(coefficients: dict[Composition, int], k: int) -> Sparse
 
 def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
     """Fundamental quasi-symmetric polynomial: the sum of ``M_b`` over all refinements ``b`` of ``a``."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     a = trim(a)
     if not is_strong(a):
         raise ValueError("fundamental quasi-symmetric functions are indexed by strong compositions")
@@ -236,8 +240,8 @@ def schur_poly(lam: Partition, k: int) -> SparsePoly:
     SYT counted by descent composition as the OTs of length ``|lam|``, which
     add a box at every step.
     """
-    if k < 1:
-        raise ValueError("schur polynomials need at least one variable")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer at least 1, got {k!r}")
     lam = check_partition(trim(lam))
     return _from_f_coefficients(_descent_counts(lam, sum(lam), k), k)
 
@@ -338,14 +342,30 @@ def littlewood_truncated(k: int, maxdeg: int) -> SparsePoly:
 
 
 def is_symmetric(f: SparsePoly) -> bool:
-    """True if ``f`` is invariant under every adjacent variable swap."""
-    for i in range(f.nvars - 1):
-        for exp, coef in f.terms.items():
-            swapped = list(exp)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if f.terms.get(tuple(swapped), 0) != coef:
-                return False
-    return True
+    """True if ``f`` is invariant under every permutation of its variables.
+
+    Each term's coefficient must be the one at its exponent sorted into a
+    partition.  Then the terms lie in the orbits of the partition exponents
+    of ``f``, and fill them exactly when the orbit sizes add up to the
+    number of terms.
+    """
+    terms = f.terms
+    size = 0
+    for exp, coef in terms.items():
+        top = tuple(sorted(exp, reverse=True))
+        if top == exp:
+            size += _orbit_size(exp)
+        elif terms.get(top) != coef:
+            return False
+    return size == len(terms)
+
+
+def _orbit_size(exp: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of ``exp``: a multinomial coefficient."""
+    size = factorial(len(exp))
+    for m in Counter(exp).values():
+        size //= factorial(m)
+    return size
 
 
 def schur_expand(f: SparsePoly) -> dict[Partition, int]:

@@ -236,8 +236,12 @@ def test_independence_rank_examples():
     assert independence_rank(3, 5) == 3
     assert independence_rank(1, 1) == 1
     assert independence_rank(4, 6) == 5
-    for m, n in ((3, 4), (-1, 1), (-2, 0), (2, 4.0), (2.0, 4), (True, 1)):
+    for m, n in ((3, 4), (-1, 1), (-2, 0), (2, 4.0), (2.0, 4), (True, 1), (2, True)):
         with pytest.raises(ValueError):
+            independence_rank(m, n)
+    # the message names the size and the length, not a shape of the size's boxes
+    for m, n in ((2, 1), (3, -1), (3, 4)):
+        with pytest.raises(ValueError, match=rf"^length {n} not admissible for size {m}: "):
             independence_rank(m, n)
 
 

@@ -124,6 +124,9 @@ def test_domain_error_exit_code(capsys):
     assert main(["burge", "2,3"]) == 1
     assert main(["vset", "2,3", "5"]) == 1
     assert main(["sundaram", str(DATA / "missing.json")]) == 1
+    capsys.readouterr()
+    assert main(["independence", "3", "-1"]) == 1
+    assert capsys.readouterr().err == "error: length -1 not admissible for size 3: need n >= 3 and n == 3 (mod 2)\n"
 
 
 @pytest.mark.parametrize(
@@ -236,6 +239,10 @@ def listed_qyot_output(lam, n, k, limit, as_json):
         ((2, 1), 5, 1, None),
         ((3, 1), 6, 1, None),
         ((1, 1), 6, 2, 100),
+        ((3, 1), 8, 8, None),
+        ((2, 2), 8, 4, None),
+        ((1, 1, 1), 7, 5, None),
+        ((), 10, 10, None),  # 945 tableaux, some with 10 steps: the letter 10 has two digits
     ],
 )
 @pytest.mark.parametrize("as_json", [False, True])
@@ -247,19 +254,24 @@ def test_enumerate_qyot_output_matches_listing_api(lam, n, k, limit, as_json, ca
 
 
 def test_limit_stops_the_walk(monkeypatch, capsys):
-    # 34,650 tableaux are counted, but only the one printed is built
-    built = []
+    # 34,650 tableaux are counted, but the walk yields only the one printed
+    walked = []
 
-    def counting_steps(*args):
-        built.append(args)
-        return steps(*args)
+    def counting_walk(*args):
+        for item in walk(*args):
+            walked.append(item)
+            yield item
 
-    steps = oscillating._steps
-    monkeypatch.setattr(oscillating, "_steps", counting_steps)
+    walk = oscillating._walk
+    monkeypatch.setattr(oscillating, "_walk", counting_walk)
     assert main(["enumerate-qyot", "2,1", "11", "11", "--limit", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("34650 quasi-Yamanouchi tableaux") and len(out.splitlines()) == 2
-    assert len(built) == 1
+    assert len(walked) == 1
+    assert main(["enumerate-qyot", "2,1", "11", "11", "--limit", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == 34650 and len(doc["tableaux"]) == 1
+    assert len(walked) == 2
 
 
 def test_parser_is_built_once(capsys):

@@ -1,7 +1,7 @@
 import copy
 import pickle
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -90,8 +90,10 @@ def test_fundamental_qsym():
     assert fundamental_qsym((3, 2), 3).coefficient((3, 2, 0)) == 1
     assert not fundamental_qsym((2, 1), 2).is_zero()
     assert fundamental_qsym((1, 1, 1), 2).is_zero()
-    with pytest.raises(ValueError):
-        fundamental_qsym((), -1)
+    for a, k in (((), -1), ((1,), 2.0), ((1,), "3"), ((2,), True), ((), False)):
+        with pytest.raises(ValueError):
+            fundamental_qsym(a, k)
+    assert fundamental_qsym((), 0) == SparsePoly.one(0)
     # the definition, kept apart from the walk shared with schur_poly and ssot_poly
     for m in range(6):
         for a in ref_set((m,)):
@@ -111,7 +113,7 @@ def test_schur_poly():
     assert schur_poly((1, 1, 1), 2).is_zero()
     assert schur_poly((), 2) == SparsePoly.one(2)
     assert schur_poly((2, 1, 0), 2) == schur_poly((2, 1), 2)
-    for lam, k in (((1, 2), 3), ((2, -1), 3), ((2, 1), 0)):
+    for lam, k in (((1, 2), 3), ((2, -1), 3), ((2, 1), 0), ((1,), 2.0), ((1,), "3"), ((1,), True), ((), False)):
         with pytest.raises(ValueError):
             schur_poly(lam, k)
 
@@ -284,6 +286,17 @@ def test_is_symmetric():
     assert not is_symmetric(poly_from_pairs(2, {(2, 1): 1}))
     assert not is_symmetric(monomial_qsym((2, 1), 3))
     assert is_symmetric(SparsePoly.zero(3))
+    assert is_symmetric(SparsePoly(0, {(): 5}))
+    # only the swap of x_1 and x_3 moves the term with coefficient 2 onto its sorted exponent
+    lopsided = {exp: 1 for exp in permutations((2, 1, 0))}
+    lopsided[(0, 1, 2)] = 2
+    assert not is_symmetric(SparsePoly(3, lopsided))
+    # invariant under the swaps of x_1, x_2 and of x_3, x_4, not under that of x_2, x_3
+    assert not is_symmetric(poly_from_pairs(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}))
+    # every coefficient matches its sorted exponent's, but an orbit lacks a term
+    assert not is_symmetric(poly_from_pairs(3, {(1, 0, 0): 1, (0, 1, 0): 1}))
+    assert not is_symmetric(schur_poly((2, 1), 3) - poly_from_pairs(3, {(0, 1, 2): 1}))
+    assert is_symmetric(schur_poly((2, 1), 3) + monomial_qsym((1, 1, 1), 3))
 
 
 def test_ssot_poly_symmetric_small():

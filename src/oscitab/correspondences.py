@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .shapes import Box, conjugate
-from .oscillating import ADD, DELETE, SSOT, ssot_from_events, substep_events
+from .shapes import Box, Partition, conjugate
+from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
     Tableau,
     _column_insert,
@@ -79,20 +79,23 @@ class TwoRowArray:
 EMPTY_ARRAY = TwoRowArray(())
 
 
+def _symmetrized(pairs: tuple[Pair, ...]) -> list[Pair]:
+    """Lexicographic pairs together with their mirrors, rearranged lexicographically."""
+    return sorted([*pairs, *((b, t) for t, b in pairs)])
+
+
 def symmetrize(L: TwoRowArray) -> TwoRowArray:
     """Each pair together with its mirror, rearranged lexicographically."""
     if not L.is_lexicographic():
         raise ValueError("symmetrization needs a lexicographic array")
-    doubled = [*L.pairs, *((b, t) for t, b in L.pairs)]
-    return TwoRowArray._of(tuple(sorted(doubled)))
+    return TwoRowArray._of(tuple(_symmetrized(L.pairs)))
 
 
 def burge_map(L: TwoRowArray) -> Tableau:
     """Insertion tableau of the bottom word of the symmetrized array."""
     if not L.is_burge():
         raise ValueError("the Burge correspondence needs a Burge array")
-    bottom_word = tuple(b for _, b in symmetrize(L).pairs)
-    return insertion_tableau(bottom_word)
+    return insertion_tableau(tuple(b for _, b in _symmetrized(L.pairs)))
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,7 @@ def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple
 
     Yields ``(m, letter, kind, box)`` after each substep.
     """
-    events = substep_events(S)
-    for m, (u, box, kind) in enumerate(
-        zip(events.profile, events.boxes, events.kinds), 1
-    ):
+    for m, (u, box, kind) in enumerate(_step_events(S.steps), 1):
         if kind == ADD:
             _place_entry(cols, box, u)
         else:
@@ -161,12 +161,25 @@ def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple
         yield m, u, kind, box
 
 
+def _finish(pairs: list[Pair], cols: list[list[int]]) -> SundaramPair:
+    """The pair that a finished replay has built, checked to be a Burge pair."""
+    L = TwoRowArray._of(tuple(pairs))
+    if not L.is_burge():
+        raise ValueError("internal error: produced array is not Burge")
+    return SundaramPair(L, _from_columns(cols))
+
+
 def sundaram_steps(S: SSOT) -> Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]:
-    """Replay the correspondence, yielding (m, letter, kind, box, L_m, T_m) per substep."""
+    """Replay the correspondence, yielding (m, letter, kind, box, L_m, T_m) per substep.
+
+    The last row holds ``sundaram(S)``; once it is yielded, the result is
+    checked as ``sundaram`` checks it.
+    """
     pairs: list[Pair] = []
     cols: list[list[int]] = []
     for m, u, kind, box in _replay(S, pairs, cols):
         yield m, u, kind, box, TwoRowArray._of(tuple(pairs)), _from_columns(cols)
+    _finish(pairs, cols)
 
 
 def sundaram(S: SSOT) -> SundaramPair:
@@ -175,10 +188,7 @@ def sundaram(S: SSOT) -> SundaramPair:
     cols: list[list[int]] = []
     for _ in _replay(S, pairs, cols):
         pass
-    L = TwoRowArray._of(tuple(pairs))
-    if not L.is_burge():
-        raise ValueError("internal error: produced array is not Burge")
-    return SundaramPair(L, _from_columns(cols))
+    return _finish(pairs, cols)
 
 
 def sundaram_inverse(pair: SundaramPair) -> SSOT:
@@ -189,34 +199,66 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     rightmost array pair is removed and its bottom value column-inserted.
     The largest entry of the tableau is the largest column bottom, and the
     rightmost box holding it is the corner removed.
+
+    The steps are read off the row lengths as the walk goes: a letter's step
+    reaches the shape found before its first event is undone, and deletes
+    down to the shape found before its first deletion is undone.  Undone in
+    reverse, a letter's additions must move left and its deletions right,
+    and no addition may follow a deletion.  Every box is a corner that the
+    walk removes or a box that column insertion adds, so each event fits
+    its shape.
     """
     if not pair.burge.is_burge():
         raise ValueError("not a Burge array")
-    cols = _columns(check_tableau(pair.tableau))
+    T = check_tableau(pair.tableau)
+    cols = _columns(T)
+    rows = [len(row) for row in T]
     pairs = list(pair.burge.pairs)
-    letters: list[int] = []
-    boxes: list[Box] = []
-    kinds: list[str] = []
-    while pairs or cols:
+    steps: list[tuple[Partition, Partition]] = []  # top letter first
+    letter = 0
+    reached: Partition = ()
+    deleted: Partition | None = None  # set when the letter's first deletion is undone
+    prev_col = 0
+    while True:
         x, c = 0, 0
-        for j, col in enumerate(cols):
-            if col[-1] >= x:
-                x, c = col[-1], j
-        if pairs and pairs[-1][0] > x:
-            x, bottom = pairs.pop()
-            box = _column_insert(cols, bottom)
-            kind = DELETE
+        for j, column in enumerate(cols):
+            if column[-1] >= x:
+                x, c = column[-1], j
+        undo_deletion = bool(pairs) and pairs[-1][0] > x
+        if undo_deletion:
+            x = pairs[-1][0]
+        if x != letter:  # close the step of ``letter`` and the empty ones down to ``x``
+            if letter:
+                shape = tuple(rows)
+                steps.append((shape if deleted is None else deleted, reached))
+                steps.extend([(shape, shape)] * (letter - x - 1))
+            letter, reached, deleted, prev_col = x, tuple(rows), None, 0
+        if not x:  # nothing is left
+            break
+        if undo_deletion:
+            if deleted is None:
+                deleted, prev_col = tuple(rows), 0
+            row, col = _column_insert(cols, pairs.pop()[1])
+            if prev_col and col <= prev_col:
+                raise ValueError(f"pair has no valid preimage: step {letter}: deletions must move left")
+            if row > len(rows):
+                rows.append(1)
+            else:
+                rows[row - 1] += 1
         else:
+            if deleted is not None:
+                raise ValueError(f"pair has no valid preimage: step {letter}: deletion after an addition")
+            col = c + 1
+            if prev_col and col >= prev_col:
+                raise ValueError(f"pair has no valid preimage: step {letter}: additions must move right")
             column = cols[c]
             column.pop()
-            box = (len(column) + 1, c + 1)
             if not column:  # a corner in row 1 ends the last column
                 cols.pop()
-            kind = ADD
-        letters.append(x)
-        boxes.append(box)
-        kinds.append(kind)
-    try:
-        return ssot_from_events(letters[::-1], boxes[::-1], kinds[::-1])
-    except ValueError as exc:
-        raise ValueError(f"pair has no valid preimage: {exc}") from exc
+            row = len(column) + 1
+            if rows[row - 1] == 1:  # a corner of length 1 ends the last row
+                rows.pop()
+            else:
+                rows[row - 1] -= 1
+        prev_col = col
+    return SSOT._of(tuple(steps[::-1]))

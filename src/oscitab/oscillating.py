@@ -164,33 +164,30 @@ class SSOT:
 EMPTY_SSOT = SSOT(())
 
 
-def substep_events(S: SSOT) -> EventTrace:
-    """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right.
+def _step_events(steps) -> Iterator[tuple[int, Box, str]]:
+    """``(letter, box, kind)`` of each substep of the SSOT with these steps, in event order.
 
+    Per step, deletions come right to left, then additions left to right.
     A horizontal strip's higher rows lie further right, so deletions run
-    top row first, right to left, and additions bottom row first, left to
-    right.
+    top row first and additions bottom row first.
     """
-    profile: list[int] = []
-    boxes: list[Box] = []
-    kinds: list[str] = []
     prev: Partition = ()
-    for i, (deleted, reached) in enumerate(S.steps, 1):
-        start = len(boxes)
+    for i, (deleted, reached) in enumerate(steps, 1):
         for r, old in enumerate(prev):
             low = deleted[r] if r < len(deleted) else 0
             for c in range(old, low, -1):
-                boxes.append((r + 1, c))
-        middle = len(boxes)
+                yield i, (r + 1, c), DELETE
         for r in range(len(reached) - 1, -1, -1):
             low = deleted[r] if r < len(deleted) else 0
             for c in range(low + 1, reached[r] + 1):
-                boxes.append((r + 1, c))
-        kinds += [DELETE] * (middle - start)
-        kinds += [ADD] * (len(boxes) - middle)
-        profile += [i] * (len(boxes) - start)
+                yield i, (r + 1, c), ADD
         prev = reached
-    return EventTrace(tuple(profile), tuple(boxes), tuple(kinds))
+
+
+def substep_events(S: SSOT) -> EventTrace:
+    """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right."""
+    profile, boxes, kinds = tuple(zip(*_step_events(S.steps))) or ((), (), ())
+    return EventTrace(profile, boxes, kinds)
 
 
 def ot_events(O: OscillatingTableau) -> EventTrace:

@@ -197,6 +197,8 @@ class SparsePoly:
 
 def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     """Sum of ``x^c`` over weak compositions ``c`` of length ``k`` flattening to ``b``."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     b = trim(b)
     if not is_strong(b):
         raise ValueError("monomial quasi-symmetric functions are indexed by strong compositions")
@@ -325,10 +327,10 @@ def f_expansion(lam: Partition, n: int, max_step: int) -> dict[Composition, int]
 
 def littlewood_truncated(k: int, maxdeg: int) -> SparsePoly:
     """Truncation of the product over i<j of the geometric series in ``x_i x_j``."""
-    if k < 1:
-        raise ValueError("need at least one variable")
-    if maxdeg < 0:
-        raise ValueError("maxdeg must be nonnegative")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer at least 1, got {k!r}")
+    if type(maxdeg) is not int or maxdeg < 0:
+        raise ValueError(f"maxdeg must be a nonnegative integer, got {maxdeg!r}")
     total = SparsePoly.one(k)
     for i in range(k):
         for j in range(i + 1, k):

@@ -312,6 +312,15 @@ def test_sundaram_without_trace_runs_the_checked_map(monkeypatch, tmp_path, caps
         assert capsys.readouterr().out == out
 
 
+def test_sundaram_checks_the_array_with_and_without_trace(monkeypatch, capsys):
+    monkeypatch.setattr(correspondences.TwoRowArray, "is_burge", lambda self: False)
+    for argv in ([], ["--trace"], ["--json"], ["--json", "--trace"]):
+        assert main(["sundaram", str(DATA / "sundaram_example.json"), *argv]) == 1
+        captured = capsys.readouterr()
+        assert "not Burge" in captured.err
+        assert "burge:" not in captured.out and '"burge"' not in captured.out
+
+
 def test_outputs_are_reproducible(capsys):
     for _, argv in GOLDEN_CASES[:4]:
         main(argv)

@@ -15,7 +15,9 @@ from oscitab.correspondences import (
 )
 from oscitab.oscillating import (
     ADD,
+    DELETE,
     SSOT,
+    _step_events,
     enumerate_ssot,
     in_N,
     ssot_from_events,
@@ -23,7 +25,7 @@ from oscitab.oscillating import (
 )
 from oscitab.polyring import SparsePoly, littlewood_truncated, schur_poly, ssot_poly
 from oscitab.shapes import conjugate, is_even_partition, partitions_of
-from oscitab.tableaux import ssyt_of_shape, tableau_shape
+from oscitab.tableaux import check_tableau, column_insert, ssyt_of_shape, tableau_shape
 
 
 SUNDARAM_EXAMPLE = SSOT(
@@ -47,6 +49,58 @@ def all_burge_arrays(max_entry, npairs):
     ]
     for pairs in combinations_with_replacement(sorted(alphabet), npairs):
         yield TwoRowArray(pairs)
+
+
+def inverse_by_events(pair):
+    """Sundaram's inverse through an event trace, the oracle of ``sundaram_inverse``.
+
+    The reverse walk collects letters, boxes and kinds, largest letter
+    first; ``ssot_from_events`` then replays them forward into steps and
+    checks the step-order conventions.
+    """
+    if not pair.burge.is_burge():
+        raise ValueError("not a Burge array")
+    T = check_tableau(pair.tableau)
+    pairs = list(pair.burge.pairs)
+    letters, boxes, kinds = [], [], []
+    while pairs or T:
+        x = max((row[-1] for row in T), default=0)
+        if pairs and pairs[-1][0] > x:
+            x, bottom = pairs.pop()
+            T, box = column_insert(T, bottom)
+            kind = DELETE
+        else:
+            # the rightmost box holding the largest entry ends the topmost row ending in it
+            r = min(i for i, row in enumerate(T) if row[-1] == x)
+            box = (r + 1, len(T[r]))
+            T = tuple(row[:-1] if i == r else row for i, row in enumerate(T) if i != r or len(row) > 1)
+            kind = ADD
+        letters.append(x)
+        boxes.append(box)
+        kinds.append(kind)
+    return ssot_from_events(letters[::-1], boxes[::-1], kinds[::-1])
+
+
+def events_by_lists(S):
+    """Letters, boxes and kinds of an SSOT's substeps, built step by step as flat lists."""
+    profile, boxes, kinds = [], [], []
+    prev = ()
+    for i, (deleted, reached) in enumerate(S.steps, 1):
+        start = len(boxes)
+        for r, old in enumerate(prev):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(old, low, -1):
+                boxes.append((r + 1, c))
+        middle = len(boxes)
+        for r in range(len(reached) - 1, -1, -1):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(low + 1, reached[r] + 1):
+                boxes.append((r + 1, c))
+        kinds += [DELETE] * (middle - start)
+        kinds += [ADD] * (len(boxes) - middle)
+        profile += [i] * (len(boxes) - start)
+        prev = reached
+    return list(zip(profile, boxes, kinds))
 
 
 def test_symmetrize():
@@ -163,6 +217,48 @@ def test_sundaram_inverse_examples():
     assert sundaram(recovered).tableau == T
     with pytest.raises(ValueError):
         sundaram_inverse(SundaramPair(TwoRowArray(((2, 3),)), ()))
+
+
+def test_sundaram_inverse_matches_event_oracle():
+    # every Burge array of <= 2 pairs with tops <= 4 against every tableau of <= 4 boxes with entries <= 4
+    # plus arrays that are not Burge and tableaux that are not semistandard
+    arrays = [L for r in range(3) for L in all_burge_arrays(4, r)]
+    tableaux = [T for m in range(5) for lam in partitions_of(m) for T in ssyt_of_shape(lam, 4)]
+    assert (len(arrays), len(tableaux)) == (28, 181)
+    bad_arrays = [TwoRowArray(((2, 3),)), TwoRowArray(((2, 2),)), TwoRowArray(((3, 1), (2, 1)))]
+    bad_tableaux = [((2, 1),), ((1,), (1,)), ((1,), (2, 3))]
+    inverted = rejected = 0
+    for L in arrays + bad_arrays:
+        for T in tableaux + bad_tableaux:
+            pair = SundaramPair(L, T)
+            try:
+                expected = inverse_by_events(pair)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    sundaram_inverse(pair)
+                rejected += 1
+                continue
+            S = sundaram_inverse(pair)
+            assert S == expected, pair
+            assert type(S.steps) is tuple and all(
+                type(d) is tuple and type(r) is tuple for d, r in S.steps
+            )
+            inverted += 1
+    # the correspondence is a bijection, so exactly the bad inputs are rejected
+    assert inverted == 28 * 181
+    assert rejected == 31 * 184 - inverted
+
+
+def test_step_events_match_flat_lists():
+    for m in range(4):
+        for lam in partitions_of(m):
+            for S in enumerate_ssot(lam, m + 4, 4):
+                expected = events_by_lists(S)
+                assert list(_step_events(S.steps)) == expected
+                events = substep_events(S)
+                assert list(zip(events.profile, events.boxes, events.kinds)) == expected
+    assert list(_step_events(())) == []
+    assert substep_events(SSOT(())).profile == ()
 
 
 def test_sundaram_round_trip_exhaustive():

@@ -80,8 +80,10 @@ def test_monomial_qsym():
             expected[c] = 1
     assert monomial_qsym((2, 1), 3) == poly_from_pairs(3, expected)
     assert monomial_qsym((2, 1), 1).is_zero()
-    with pytest.raises(ValueError):
-        monomial_qsym((), -1)
+    assert monomial_qsym((), 0) == SparsePoly.one(0)
+    for k in (-1, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match="k must be"):
+            monomial_qsym((1,), k)
 
 
 def test_fundamental_qsym():
@@ -255,6 +257,12 @@ def test_littlewood_truncated():
         3, {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
     )
     assert littlewood_truncated(1, 5) == SparsePoly.one(1)
+    for k in (-1, 0, 2.0, "3", True, False):
+        with pytest.raises(ValueError, match="k must be"):
+            littlewood_truncated(k, 2)
+    for maxdeg in (-1, 2.0, "3", True):
+        with pytest.raises(ValueError, match="maxdeg must be"):
+            littlewood_truncated(2, maxdeg)
 
 
 def test_pair_series_product_low_variable_counts():

@@ -20,8 +20,8 @@ from .tableaux import (
     _column_unbump,
     _columns,
     _from_columns,
+    _row_insert,
     check_tableau,
-    insertion_tableau,
     tableau_shape,
 )
 
@@ -52,7 +52,19 @@ class TwoRowArray:
         return all(self.pairs[i] <= self.pairs[i + 1] for i in range(len(self.pairs) - 1))
 
     def is_burge(self) -> bool:
-        return self.is_lexicographic() and all(t > b for t, b in self.pairs)
+        """Lexicographic with top > bottom in every pair.
+
+        The verdict is kept on the instance once found; the pairs are
+        immutable, so it cannot go stale, and equality, hash and repr see
+        only the pairs.
+        """
+        try:
+            return self._burge
+        except AttributeError:
+            pass
+        burge = self.is_lexicographic() and all(t > b for t, b in self.pairs)
+        object.__setattr__(self, "_burge", burge)
+        return burge
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -95,7 +107,10 @@ def burge_map(L: TwoRowArray) -> Tableau:
     """Insertion tableau of the bottom word of the symmetrized array."""
     if not L.is_burge():
         raise ValueError("the Burge correspondence needs a Burge array")
-    return insertion_tableau(tuple(b for _, b in _symmetrized(L.pairs)))
+    rows: list[list[int]] = []
+    for _, b in _symmetrized(L.pairs):  # the constructor checked every entry
+        _row_insert(rows, b)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -194,19 +209,16 @@ def sundaram(S: SSOT) -> SundaramPair:
 def sundaram_inverse(pair: SundaramPair) -> SSOT:
     """Reconstruct the unique SSOT mapping to ``pair``.
 
-    Undoes events largest letter first; a letter present in the tableau was
-    an addition (undone before deletions of the same letter), otherwise the
-    rightmost array pair is removed and its bottom value column-inserted.
-    The largest entry of the tableau is the largest column bottom, and the
-    rightmost box holding it is the corner removed.
-
-    The steps are read off the row lengths as the walk goes: a letter's step
-    reaches the shape found before its first event is undone, and deletes
-    down to the shape found before its first deletion is undone.  Undone in
-    reverse, a letter's additions must move left and its deletions right,
-    and no addition may follow a deletion.  Every box is a corner that the
-    walk removes or a box that column insertion adds, so each event fits
-    its shape.
+    Undoes the events one letter at a time, largest letter first.  The
+    letter's additions are undone first: the cells holding the letter are
+    the column bottoms equal to it, and they are removed in one pass from
+    the right.  Then the pairs whose top is the letter are popped from the
+    right, and each bottom is column-inserted.  The step of the letter
+    reaches the shape found before its additions are undone, and deletes
+    down to the shape found before its deletions are undone; the letters
+    between it and the next one have empty steps.  Every box is a corner
+    that the walk removes or a box that column insertion adds, so each
+    event fits its shape.
     """
     if not pair.burge.is_burge():
         raise ValueError("not a Burge array")
@@ -215,50 +227,49 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     rows = [len(row) for row in T]
     pairs = list(pair.burge.pairs)
     steps: list[tuple[Partition, Partition]] = []  # top letter first
-    letter = 0
-    reached: Partition = ()
-    deleted: Partition | None = None  # set when the letter's first deletion is undone
-    prev_col = 0
-    while True:
-        x, c = 0, 0
-        for j, column in enumerate(cols):
-            if column[-1] >= x:
-                x, c = column[-1], j
-        undo_deletion = bool(pairs) and pairs[-1][0] > x
-        if undo_deletion:
-            x = pairs[-1][0]
-        if x != letter:  # close the step of ``letter`` and the empty ones down to ``x``
-            if letter:
-                shape = tuple(rows)
-                steps.append((shape if deleted is None else deleted, reached))
-                steps.extend([(shape, shape)] * (letter - x - 1))
-            letter, reached, deleted, prev_col = x, tuple(rows), None, 0
-        if not x:  # nothing is left
-            break
-        if undo_deletion:
-            if deleted is None:
-                deleted, prev_col = tuple(rows), 0
-            row, col = _column_insert(cols, pairs.pop()[1])
-            if prev_col and col <= prev_col:
+    top = max((column[-1] for column in cols), default=0)  # the largest entry left
+    letter = max(top, pairs[-1][0] if pairs else 0)
+    while letter:
+        reached = tuple(rows)
+        if top == letter:
+            # T is semistandard and holds nothing above the letter, so the
+            # cells holding it are column bottoms and form a horizontal
+            # strip: taken from the right, each is a corner when removed,
+            # and the additions, read forward, move right by construction.
+            top = 0
+            for c in range(len(cols) - 1, -1, -1):
+                column = cols[c]
+                if column[-1] == letter:
+                    column.pop()
+                    row = len(column)
+                    if rows[row] == 1:  # a corner of length 1 ends the last row
+                        rows.pop()
+                    else:
+                        rows[row] -= 1
+                    if not column:  # a corner in row 1 ends the last column
+                        cols.pop()
+                        continue
+                if column[-1] > top:
+                    top = column[-1]
+        deleted = tuple(rows)
+        # Burge bottoms lie below their tops, so no cell holds the letter
+        # again: no addition of it can follow an undone deletion.
+        prev_col = 0
+        while pairs and pairs[-1][0] == letter:
+            bottom = pairs.pop()[1]
+            row, col = _column_insert(cols, bottom)
+            if col <= prev_col:
                 raise ValueError(f"pair has no valid preimage: step {letter}: deletions must move left")
+            prev_col = col
             if row > len(rows):
                 rows.append(1)
             else:
                 rows[row - 1] += 1
-        else:
-            if deleted is not None:
-                raise ValueError(f"pair has no valid preimage: step {letter}: deletion after an addition")
-            col = c + 1
-            if prev_col and col >= prev_col:
-                raise ValueError(f"pair has no valid preimage: step {letter}: additions must move right")
-            column = cols[c]
-            column.pop()
-            if not column:  # a corner in row 1 ends the last column
-                cols.pop()
-            row = len(column) + 1
-            if rows[row - 1] == 1:  # a corner of length 1 ends the last row
-                rows.pop()
-            else:
-                rows[row - 1] -= 1
-        prev_col = col
+            if bottom > top:
+                top = bottom
+        steps.append((deleted, reached))
+        nxt = max(top, pairs[-1][0] if pairs else 0)
+        shape = tuple(rows)
+        steps.extend([(shape, shape)] * (letter - nxt - 1))
+        letter = nxt
     return SSOT._of(tuple(steps[::-1]))

@@ -13,7 +13,6 @@ from .shapes import (
     check_partition,
     conjugate,
     contains,
-    is_partition,
     northeast,
     part,
     trim,
@@ -29,23 +28,42 @@ def tableau_shape(T: Tableau) -> Partition:
 
 
 def is_semistandard(T) -> bool:
-    shape = tuple(len(row) for row in T)
-    if not is_partition(shape):
+    """True if ``T`` is an iterable of rows that make a semistandard tableau."""
+    try:
+        rows = tuple(tuple(row) for row in T)
+    except TypeError:
         return False
+    return _is_semistandard(rows)
+
+
+def _is_semistandard(T: Tableau) -> bool:
+    """One pass over the rows of a tuple of tuples.
+
+    Rows are nonempty and weakly shorter going down, entries are ``int``s
+    >= 1 (not ``bool``), rows weakly increase and columns strictly increase.
+    """
+    above: tuple[int, ...] = ()
     for row in T:
-        if any(type(x) is not int or x < 1 for x in row):
+        if not row or (above and len(row) > len(above)):
             return False
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for i in range(len(T) - 1):
-        if any(T[i][j] >= T[i + 1][j] for j in range(len(T[i + 1]))):
-            return False
+        prev = 1
+        for x in row:
+            if type(x) is not int or x < prev:
+                return False
+            prev = x
+        for a, x in zip(above, row):
+            if a >= x:
+                return False
+        above = row
     return True
 
 
 def check_tableau(T) -> Tableau:
-    T = tuple(tuple(row) for row in T)
-    if not is_semistandard(T):
+    try:
+        T = tuple(tuple(row) for row in T)
+    except TypeError:
+        raise ValueError(f"not a semistandard tableau: {T!r}") from None
+    if not _is_semistandard(T):
         raise ValueError(f"not a semistandard tableau: {T}")
     return T
 

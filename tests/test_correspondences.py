@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -219,16 +221,44 @@ def test_sundaram_inverse_examples():
         sundaram_inverse(SundaramPair(TwoRowArray(((2, 3),)), ()))
 
 
+BAD_ARRAYS = (TwoRowArray(((2, 3),)), TwoRowArray(((2, 2),)), TwoRowArray(((3, 1), (2, 1))))
+
+
+def burge_by_scan(pairs):
+    return all(p <= q for p, q in zip(pairs, pairs[1:])) and all(t > b for t, b in pairs)
+
+
+def test_recorded_burge_verdict_is_invisible():
+    arrays = [L for r in range(3) for L in all_burge_arrays(4, r)] + list(BAD_ARRAYS)
+    for L in arrays:
+        fresh = TwoRowArray(L.pairs)
+        pickled = pickle.dumps(fresh)  # before any verdict is recorded
+        expected = burge_by_scan(L.pairs)
+        assert L.is_burge() is expected
+        assert L.is_burge() is expected
+        assert L == fresh and fresh == L and hash(L) == hash(fresh)
+        assert repr(L) == f"TwoRowArray(pairs={L.pairs!r})"
+        assert L.to_dict() == {"pairs": [list(p) for p in L.pairs]}
+        for other in (copy.copy(L), pickle.loads(pickle.dumps(L)), pickle.loads(pickled)):
+            assert other == L and hash(other) == hash(L) and repr(other) == repr(L)
+            assert other.to_dict() == L.to_dict()
+            assert other.is_burge() is expected
+    for L in BAD_ARRAYS:  # each has returned False once already
+        with pytest.raises(ValueError):
+            burge_map(L)
+        with pytest.raises(ValueError):
+            sundaram_inverse(SundaramPair(L, ()))
+
+
 def test_sundaram_inverse_matches_event_oracle():
     # every Burge array of <= 2 pairs with tops <= 4 against every tableau of <= 4 boxes with entries <= 4
     # plus arrays that are not Burge and tableaux that are not semistandard
     arrays = [L for r in range(3) for L in all_burge_arrays(4, r)]
     tableaux = [T for m in range(5) for lam in partitions_of(m) for T in ssyt_of_shape(lam, 4)]
     assert (len(arrays), len(tableaux)) == (28, 181)
-    bad_arrays = [TwoRowArray(((2, 3),)), TwoRowArray(((2, 2),)), TwoRowArray(((3, 1), (2, 1)))]
     bad_tableaux = [((2, 1),), ((1,), (1,)), ((1,), (2, 3))]
     inverted = rejected = 0
-    for L in arrays + bad_arrays:
+    for L in arrays + list(BAD_ARRAYS):
         for T in tableaux + bad_tableaux:
             pair = SundaramPair(L, T)
             try:

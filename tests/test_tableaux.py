@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oscitab.shapes import northeast, partitions_of, v_set
+from oscitab.shapes import is_partition, northeast, partitions_of, v_set
 from oscitab.tableaux import (
     EMPTY,
     check_tableau,
@@ -81,6 +81,51 @@ def test_check_tableau_rejects_non_integer_entries():
         assert not is_semistandard(T)
         with pytest.raises(ValueError):
             check_tableau(T)
+
+
+def is_semistandard_by_rows(T):
+    """The row-by-row definition, the oracle of ``is_semistandard``."""
+    shape = tuple(len(row) for row in T)
+    if not is_partition(shape):
+        return False
+    for row in T:
+        if any(type(x) is not int or x < 1 for x in row):
+            return False
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(len(T) - 1):
+        if any(T[i][j] >= T[i + 1][j] for j in range(len(T[i + 1]))):
+            return False
+    return True
+
+
+def test_is_semistandard_matches_row_oracle():
+    shapes = [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (3,), (2, 2), (1, 1, 1), (2, 0), (0,), (3, 1), (2, 1, 1), (1, 2, 1)]
+    entries = (0, 1, 2, 3, True, 1.0)
+    checked = accepted = 0
+    for shape in shapes:
+        for cells in product(entries, repeat=sum(shape)):
+            it = iter(cells)
+            T = tuple(tuple(next(it) for _ in range(p)) for p in shape)
+            expected = is_semistandard_by_rows(T)
+            assert is_semistandard(T) == expected, T
+            assert is_semistandard([list(row) for row in T]) == expected, T
+            if expected:
+                assert check_tableau(T) == T
+                accepted += 1
+            else:
+                with pytest.raises(ValueError):
+                    check_tableau(T)
+            checked += 1
+    assert checked == 6164
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("T", [5, None, 2.5, [[1, 2], 3], [(1,), None], ((1, 2), 3.0)])
+def test_tableau_input_that_is_not_rows_is_rejected(T):
+    assert is_semistandard(T) is False
+    with pytest.raises(ValueError):
+        check_tableau(T)
 
 
 def test_weight_rejects_entries_above_nvars():

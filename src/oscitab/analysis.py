@@ -29,7 +29,7 @@ from .shapes import (
     v_set,
 )
 from .tableaux import lr_product
-from .polyring import SparsePoly
+from .polyring import SparsePoly, is_symmetric
 
 
 @dataclass(frozen=True)
@@ -224,15 +224,13 @@ class LatticePolytopeCheck:
 def _permutahedron_points(support, degree: int, nvars: int):
     """Lattice points of the Newton polytope of a homogeneous support, or None.
 
-    When the support is closed under adjacent variable swaps and its
+    When the support is closed under permuting the variables and its
     lex-largest sorted exponent mu dominates every other sorted exponent, the
     Newton polytope is the permutahedron P(mu).  By Rado's theorem its lattice
     points are the weak compositions whose sorted form mu dominates.
     """
-    for e in support:
-        for i in range(nvars - 1):
-            if e[:i] + (e[i + 1], e[i]) + e[i + 2 :] not in support:
-                return None
+    if not is_symmetric(SparsePoly._of(nvars, dict.fromkeys(support, 1))):
+        return None
     shapes = {tuple(sorted(e, reverse=True)) for e in support}
     top = max(shapes)
     if not all(dominance_leq(s, top) for s in shapes):

@@ -117,26 +117,13 @@ def _listed_qyot(lam: Partition, n: int, k: int, limit):
 
     Yields the walk's chain, kinds and descents, then the box rows, the run
     and the descent composition.  Letter ``i`` labels the ``i``-th run
-    between descents.  A box row lists each cell's letters in order, as
-    ``render_boxes`` does, and the run is the letters with a bar at each
-    descent, as ``Run`` prints it.  The query must have been checked.
+    between descents.  The box rows are ``render_boxes``'s, and the run is
+    the letters with a bar at each descent, as ``Run`` prints it.  The query
+    must have been checked.
     """
     for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
         comp = descent_composition(des, n)
-        cells: dict = {}
-        widths: list[int] = []  # per row, the rightmost column touched; a row is first touched after the one above
-        start = 0
-        for letter, size in enumerate(comp, 1):
-            u = str(letter)
-            for box in boxes[start : start + size]:
-                cells[box] = cells.get(box, "") + u
-                row, col = box
-                if row > len(widths):
-                    widths.append(col)
-                elif col > widths[row - 1]:
-                    widths[row - 1] = col
-            start += size
-        rows = [[cells[row, col] for col in range(1, width + 1)] for row, width in enumerate(widths, 1)]
+        rows = oscillating._box_rows(oscillating._block_letters(n, des), boxes)
         run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
         yield chain, kinds, des, rows, run, comp
 

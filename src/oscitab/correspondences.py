@@ -120,6 +120,19 @@ class SundaramPair:
     burge: TwoRowArray
     tableau: Tableau
 
+    def __post_init__(self):
+        if not isinstance(self.burge, TwoRowArray):
+            raise ValueError(f"a Sundaram pair needs a TwoRowArray, got {type(self.burge).__name__}")
+        object.__setattr__(self, "tableau", check_tableau(self.tableau))
+
+    @classmethod
+    def _of(cls, burge: TwoRowArray, tableau: Tableau) -> "SundaramPair":
+        """Pair from an array and a tuple tableau already known to be valid."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "burge", burge)
+        object.__setattr__(out, "tableau", tableau)
+        return out
+
     def length(self) -> int:
         return 2 * len(self.burge) + sum(tableau_shape(self.tableau))
 
@@ -135,10 +148,7 @@ class SundaramPair:
     @classmethod
     def from_dict(cls, data: dict) -> "SundaramPair":
         try:
-            return cls(
-                TwoRowArray.from_dict(data["burge"]),
-                check_tableau(data["tableau"]),
-            )
+            return cls(TwoRowArray.from_dict(data["burge"]), data["tableau"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed pair encoding: {exc}") from exc
 
@@ -181,7 +191,7 @@ def _finish(pairs: list[Pair], cols: list[list[int]]) -> SundaramPair:
     L = TwoRowArray._of(tuple(pairs))
     if not L.is_burge():
         raise ValueError("internal error: produced array is not Burge")
-    return SundaramPair(L, _from_columns(cols))
+    return SundaramPair._of(L, _from_columns(cols))
 
 
 def sundaram_steps(S: SSOT) -> Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]:
@@ -222,7 +232,7 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     """
     if not pair.burge.is_burge():
         raise ValueError("not a Burge array")
-    T = check_tableau(pair.tableau)
+    T = pair.tableau  # checked when the pair was built
     cols = _columns(T)
     rows = [len(row) for row in T]
     pairs = list(pair.burge.pairs)

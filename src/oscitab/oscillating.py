@@ -8,6 +8,7 @@ the letter i.  Events of one step are ordered deletions right-to-left, then
 additions left-to-right.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
@@ -153,15 +154,19 @@ class SSOT:
 
     @property
     def length(self) -> int:
-        n = 0
-        prev: Partition = ()
-        for deleted, reached in self.steps:
-            n += (sum(prev) - sum(deleted)) + (sum(reached) - sum(deleted))
-            prev = reached
-        return n
+        return sum(_step_sizes(self.steps))
 
 
 EMPTY_SSOT = SSOT(())
+
+
+def _step_sizes(steps) -> Iterator[int]:
+    """Events of each step: the boxes it deletes, then the boxes it adds."""
+    prev = 0
+    for deleted, reached in steps:
+        kept, size = sum(deleted), sum(reached)
+        yield prev + size - 2 * kept
+        prev = size
 
 
 def _step_events(steps) -> Iterator[tuple[int, Box, str]]:
@@ -281,75 +286,35 @@ def standardize(S: SSOT) -> OscillatingTableau:
     return OscillatingTableau(replay_events(events.boxes, events.kinds))
 
 
-def ssot_from_events(profile, boxes, kinds) -> SSOT:
-    """Rebuild an SSOT from labelled events, checking the step-order conventions.
+def _int_pair(box) -> Box:
+    try:
+        row, col = box
+    except (TypeError, ValueError):
+        row = col = None
+    if type(row) is not int or type(col) is not int:
+        raise ValueError(f"boxes must be pairs of integers, got {box!r}")
+    return row, col
 
-    Each event is checked as ``add_box`` and ``remove_box`` would, on the
-    row lengths of the current shape.
+
+def ssot_from_events(profile, boxes, kinds) -> SSOT:
+    """Rebuild an SSOT from labelled events: exactly the event lists that ``substep_events`` yields.
+
+    The events must replay into a chain from the empty shape, and the steps
+    that the letters cut the chain into must yield the same events again.
     """
-    profile, boxes, kinds = tuple(profile), tuple(boxes), tuple(kinds)
+    profile, boxes, kinds = tuple(profile), tuple(map(_int_pair, boxes)), tuple(kinds)
     if not len(profile) == len(boxes) == len(kinds):
         raise ValueError("event components differ in length")
     if any(type(u) is not int for u in profile) or profile and profile[0] < 1:
         raise ValueError("letters must be positive integers")
     if any(profile[j] > profile[j + 1] for j in range(len(profile) - 1)):
         raise ValueError("letters must weakly increase")
-    steps: list[tuple[Partition, Partition]] = []
-    rows: list[int] = []  # row lengths of the current shape
-    j, n = 0, len(profile)
-    top = profile[-1] if profile else 0
-    for letter in range(1, top + 1):
-        deleted: Partition | None = None  # the shape once the deletions are done
-        prev_col = 0
-        while j < n and profile[j] == letter:
-            box = boxes[j]
-            try:
-                row, col = box
-            except (TypeError, ValueError):
-                row = col = None
-            if type(row) is not int or type(col) is not int:
-                raise ValueError(f"boxes must be pairs of integers, got {box!r}")
-            if kinds[j] == DELETE:
-                if deleted is not None:
-                    raise ValueError(f"step {letter}: deletion after an addition")
-                if prev_col and col >= prev_col:
-                    raise ValueError(f"step {letter}: deletions must move left")
-                if not (
-                    1 <= row <= len(rows)
-                    and rows[row - 1] == col
-                    and (row == len(rows) or rows[row] < col)
-                ):
-                    raise ValueError(f"box {box} is not an outside corner of {tuple(rows)}")
-                if col == 1:  # the last row empties
-                    rows.pop()
-                else:
-                    rows[row - 1] -= 1
-            elif kinds[j] != ADD:
-                raise ValueError(f"unknown event kind {kinds[j]!r}")
-            else:
-                if deleted is None:
-                    deleted = tuple(rows)
-                    prev_col = 0
-                if prev_col and col <= prev_col:
-                    raise ValueError(f"step {letter}: additions must move right")
-                if not (
-                    1 <= row <= len(rows) + 1
-                    and (rows[row - 1] if row <= len(rows) else 0) == col - 1
-                    and (row == 1 or rows[row - 2] >= col)
-                ):
-                    raise ValueError(f"box {box} is not addable to {tuple(rows)}")
-                if row > len(rows):
-                    rows.append(1)
-                else:
-                    rows[row - 1] += 1
-            prev_col = col
-            j += 1
-        reached = tuple(rows)
-        steps.append((reached if deleted is None else deleted, reached))
-    # the checks above imply the SSOT invariants: deletions moving left and
-    # additions moving right are horizontal strips, letter 1 has nothing to
-    # delete, and the top letter's events change the shape
-    return SSOT._of(tuple(steps))
+    chain = replay_events(boxes, kinds)
+    ends = [bisect_right(profile, letter) for letter in range(1, max(profile, default=0) + 1)]
+    steps = _steps(chain, _deletions(kinds), ends)
+    if tuple(_step_events(steps)) != tuple(zip(profile, boxes, kinds)):
+        raise ValueError("per letter, events must delete right to left, then add left to right")
+    return SSOT._of(steps)
 
 
 def _block_letters(length: int, des) -> list[int]:
@@ -371,13 +336,11 @@ def destandardize(S: SSOT) -> SSOT:
 
 
 def com(S: SSOT) -> Composition:
-    """Letter multiplicities of the profile, up to the largest letter used."""
-    events = substep_events(S)
-    top = events.profile[-1] if events.profile else 0
-    counts = [0] * top
-    for u in events.profile:
-        counts[u - 1] += 1
-    return tuple(counts)
+    """Letter multiplicities of the profile, up to the largest letter used.
+
+    The last step changes the shape, so the largest letter is the step count.
+    """
+    return tuple(_step_sizes(S.steps))
 
 
 def is_quasi_yamanouchi(S: SSOT) -> bool:
@@ -557,19 +520,21 @@ def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
 def render_boxes(x) -> list[list[str]]:
     """Multiset-tableau display: per box, the letters that ever touched it (of an SSOT, OT or event trace)."""
     events = _events_of(x)
-    cells: dict[Box, list[int]] = {}
+    return _box_rows(events.profile, events.boxes)
+
+
+def _box_rows(letters, boxes) -> list[list[str]]:
+    """Rows of cells, each the letters of the events that touched its box, in order."""
+    cells: dict[Box, str] = {}
     widths: list[int] = []  # per row, the rightmost column touched; a row is first touched after the one above
-    for u, box in zip(events.profile, events.boxes):
-        cells.setdefault(box, []).append(u)
+    for u, box in zip(letters, boxes):
+        cells[box] = cells.get(box, "") + str(u)
         row, col = box
         if row > len(widths):
             widths.append(col)
         elif col > widths[row - 1]:
             widths[row - 1] = col
-    return [
-        ["".join(str(u) for u in cells[(row, col)]) for col in range(1, width + 1)]
-        for row, width in enumerate(widths, 1)
-    ]
+    return [[cells[row, col] for col in range(1, width + 1)] for row, width in enumerate(widths, 1)]
 
 
 def ssot_to_dict(S: SSOT) -> dict:

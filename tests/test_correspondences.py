@@ -221,6 +221,20 @@ def test_sundaram_inverse_examples():
         sundaram_inverse(SundaramPair(TwoRowArray(((2, 3),)), ()))
 
 
+def test_sundaram_pair_checks_its_fields():
+    with pytest.raises(ValueError):
+        SundaramPair(EMPTY_ARRAY, 5)
+    with pytest.raises(ValueError):
+        SundaramPair(((2, 1),), ())
+    with pytest.raises(ValueError):
+        SundaramPair(EMPTY_ARRAY, [[1, 2], [1]])  # not semistandard
+    pair = SundaramPair(TwoRowArray(((2, 1),)), [[1, 2], [3]])
+    assert pair.tableau == ((1, 2), (3,)) and pair.length() == 5
+    assert hash(pair) == hash(SundaramPair(TwoRowArray(((2, 1),)), ((1, 2), (3,))))
+    assert SundaramPair.from_dict(pair.to_dict()) == pair
+    assert sundaram(sundaram_inverse(pair)) == pair
+
+
 BAD_ARRAYS = (TwoRowArray(((2, 3),)), TwoRowArray(((2, 2),)), TwoRowArray(((3, 1), (2, 1))))
 
 
@@ -260,6 +274,11 @@ def test_sundaram_inverse_matches_event_oracle():
     inverted = rejected = 0
     for L in arrays + list(BAD_ARRAYS):
         for T in tableaux + bad_tableaux:
+            if T in bad_tableaux:  # the pair itself is rejected
+                with pytest.raises(ValueError):
+                    SundaramPair(L, T)
+                rejected += 1
+                continue
             pair = SundaramPair(L, T)
             try:
                 expected = inverse_by_events(pair)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -457,6 +458,132 @@ def test_ssot_from_events_rejects_corrupted_traces():
         ssot_from_events([1, 1, 2], [(1, 1), (1, 2), (0, 2)], [ADD, ADD, DELETE])
     with pytest.raises(ValueError):
         ssot_from_events([1, 2], [(1, 1), (0, 1)], [ADD, ADD])
+
+
+def ssot_from_events_by_rows(profile, boxes, kinds):
+    """Step-by-step validator with its own row bookkeeping, the oracle of ``ssot_from_events``."""
+    profile, boxes, kinds = tuple(profile), tuple(boxes), tuple(kinds)
+    if not len(profile) == len(boxes) == len(kinds):
+        raise ValueError("event components differ in length")
+    if any(type(u) is not int for u in profile) or profile and profile[0] < 1:
+        raise ValueError("letters must be positive integers")
+    if any(profile[j] > profile[j + 1] for j in range(len(profile) - 1)):
+        raise ValueError("letters must weakly increase")
+    steps = []
+    rows = []  # row lengths of the current shape
+    j, n = 0, len(profile)
+    top = profile[-1] if profile else 0
+    for letter in range(1, top + 1):
+        deleted = None  # the shape once the deletions are done
+        prev_col = 0
+        while j < n and profile[j] == letter:
+            box = boxes[j]
+            try:
+                row, col = box
+            except (TypeError, ValueError):
+                row = col = None
+            if type(row) is not int or type(col) is not int:
+                raise ValueError(f"boxes must be pairs of integers, got {box!r}")
+            if kinds[j] == DELETE:
+                if deleted is not None:
+                    raise ValueError(f"step {letter}: deletion after an addition")
+                if prev_col and col >= prev_col:
+                    raise ValueError(f"step {letter}: deletions must move left")
+                if not (1 <= row <= len(rows) and rows[row - 1] == col and (row == len(rows) or rows[row] < col)):
+                    raise ValueError(f"box {box} is not an outside corner of {tuple(rows)}")
+                if col == 1:  # the last row empties
+                    rows.pop()
+                else:
+                    rows[row - 1] -= 1
+            elif kinds[j] != ADD:
+                raise ValueError(f"unknown event kind {kinds[j]!r}")
+            else:
+                if deleted is None:
+                    deleted = tuple(rows)
+                    prev_col = 0
+                if prev_col and col <= prev_col:
+                    raise ValueError(f"step {letter}: additions must move right")
+                if not (
+                    1 <= row <= len(rows) + 1
+                    and (rows[row - 1] if row <= len(rows) else 0) == col - 1
+                    and (row == 1 or rows[row - 2] >= col)
+                ):
+                    raise ValueError(f"box {box} is not addable to {tuple(rows)}")
+                if row > len(rows):
+                    rows.append(1)
+                else:
+                    rows[row - 1] += 1
+            prev_col = col
+            j += 1
+        reached = tuple(rows)
+        steps.append((reached if deleted is None else deleted, reached))
+    return SSOT._of(tuple(steps))
+
+
+def small_ssots():
+    """Every SSOT of ``enumerate_ssot(lam, |lam| + e, 4)`` with ``|lam| <= 3`` and ``e`` in 0, 2, 4."""
+    return [S for m in range(4) for lam in partitions_of(m) for e in (0, 2, 4) for S in enumerate_ssot(lam, m + e, 4)]
+
+
+def mutated_events(events, rng):
+    """The events with one change: two events swapped, a box moved by a row or a column, a kind flipped or a letter moved."""
+    profile, boxes, kinds = list(events.profile), list(events.boxes), list(events.kinds)
+    j = rng.randrange(len(profile))
+    sign = rng.choice((-1, 1))
+    change = rng.choice(("swap", "row", "column", "kind", "letter"))
+    if change == "swap":
+        i = rng.randrange(len(profile))
+        boxes[i], boxes[j] = boxes[j], boxes[i]
+        kinds[i], kinds[j] = kinds[j], kinds[i]
+    elif change == "row":
+        boxes[j] = (boxes[j][0] + sign, boxes[j][1])
+    elif change == "column":
+        boxes[j] = (boxes[j][0], boxes[j][1] + sign)
+    elif change == "kind":
+        kinds[j] = ADD if kinds[j] == DELETE else DELETE
+    else:
+        profile[j] += sign
+    return profile, boxes, kinds
+
+
+def test_ssot_from_events_matches_row_oracle():
+    rng = random.Random(15)
+    cases = []
+    for S in small_ssots():
+        events = substep_events(S)
+        cases.append((events.profile, events.boxes, events.kinds))
+        cases.append((events.profile, [list(box) for box in events.boxes], events.kinds))  # boxes as lists
+        if len(events):
+            cases += [mutated_events(events, rng) for _ in range(6)]
+    accepted = rejected = 0
+    for profile, boxes, kinds in cases:
+        try:
+            expected = ssot_from_events_by_rows(profile, boxes, kinds)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ssot_from_events(profile, boxes, kinds)
+            rejected += 1
+            continue
+        S = ssot_from_events(profile, boxes, kinds)
+        assert S.steps == expected.steps, (profile, boxes, kinds)
+        assert type(S.steps) is tuple and all(type(d) is tuple and type(r) is tuple for d, r in S.steps)
+        assert SSOT(S.steps) == S
+        accepted += 1
+    assert len(cases) == accepted + rejected and accepted > 2 * 1820 and rejected > 1000
+    assert ssot_from_events((), (), ()) == EMPTY_SSOT
+    assert ssot_from_events([1, 1], [[1, 1], [1, 2]], [ADD, ADD]).steps == (((), (2,)),)
+    for box in ((True, 1), (1, 1.0)):
+        for oracle in (ssot_from_events_by_rows, ssot_from_events):
+            with pytest.raises(ValueError):
+                oracle([1], [box], [ADD])
+
+
+def test_com_and_length_count_events():
+    for S in [EMPTY_SSOT, *small_ssots()]:
+        events = substep_events(S)
+        counts = Counter(events.profile)
+        assert com(S) == tuple(counts[u] for u in range(1, S.step + 1))
+        assert S.length == len(events) == sum(com(S))
 
 
 def test_com_examples():

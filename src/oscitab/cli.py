@@ -117,9 +117,9 @@ def _listed_qyot(lam: Partition, n: int, k: int, limit):
 
     Yields the walk's chain, kinds and descents, then the box rows, the run
     and the descent composition.  Letter ``i`` labels the ``i``-th run
-    between descents.  The box rows are ``render_boxes``'s, and the run is
-    the letters with a bar at each descent, as ``Run`` prints it.  The query
-    must have been checked.
+    between descents.  The box rows are built as ``render_boxes`` builds
+    them, and the run is the letters with a bar at each descent, as ``Run``
+    prints it.  The query must have been checked.
     """
     for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
         comp = descent_composition(des, n)

@@ -4,7 +4,6 @@ Exponent vectors are fixed-length tuples; coefficients are Python ints.
 Serialization order is graded lexicographic, largest first.
 """
 
-from collections import Counter
 from itertools import combinations
 from math import factorial
 from types import MappingProxyType
@@ -365,7 +364,7 @@ def is_symmetric(f: SparsePoly) -> bool:
 def _orbit_size(exp: tuple[int, ...]) -> int:
     """Number of distinct rearrangements of ``exp``: a multinomial coefficient."""
     size = factorial(len(exp))
-    for m in Counter(exp).values():
+    for m in map(exp.count, set(exp)):
         size //= factorial(m)
     return size
 

@@ -12,7 +12,6 @@ never floating-point geometry; it is the only code here that uses fractions.
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -161,6 +160,8 @@ def in_convex_hull(point, points) -> bool:
     nonnegative weights summing to 1 with the prescribed barycenter.  A point
     of another dimension than ``point`` raises ``ValueError``.
     """
+    from fractions import Fraction  # imported here: the rest of the package never needs it
+
     points = [tuple(p) for p in points]
     point = tuple(point)
     k = len(point)

@@ -9,10 +9,9 @@ Burge pair (letter, ejected value).
 
 from bisect import insort
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .shapes import Box, Partition, conjugate
+from .shapes import Box, Partition, _Record, conjugate
 from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
     Tableau,
@@ -28,14 +27,15 @@ from .tableaux import (
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TwoRowArray:
+class TwoRowArray(_Record):
     """Sequence of (top, bottom) pairs of positive integers."""
 
+    __slots__ = ("pairs", "_burge")
+    _fields = ("pairs",)
     pairs: tuple[Pair, ...]
 
-    def __post_init__(self):
-        pairs = tuple(tuple(p) for p in self.pairs)
+    def __init__(self, pairs):
+        pairs = tuple(tuple(p) for p in pairs)
         for p in pairs:
             if len(p) != 2 or any(type(x) is not int or x < 1 for x in p):
                 raise ValueError(f"array pairs must be two positive integers, got {p}")
@@ -48,6 +48,14 @@ class TwoRowArray:
         object.__setattr__(out, "pairs", pairs)
         return out
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
     def is_lexicographic(self) -> bool:
         return all(self.pairs[i] <= self.pairs[i + 1] for i in range(len(self.pairs) - 1))
 
@@ -55,8 +63,8 @@ class TwoRowArray:
         """Lexicographic with top > bottom in every pair.
 
         The verdict is kept on the instance once found; the pairs are
-        immutable, so it cannot go stale, and equality, hash and repr see
-        only the pairs.
+        immutable, so it cannot go stale, and equality, hash, repr and
+        pickling see only the pairs.
         """
         try:
             return self._burge
@@ -113,17 +121,18 @@ def burge_map(L: TwoRowArray) -> Tableau:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class SundaramPair:
+class SundaramPair(_Record):
     """Image of an SSOT: a Burge array and a tableau of the SSOT's shape."""
 
+    __slots__ = _fields = ("burge", "tableau")
     burge: TwoRowArray
     tableau: Tableau
 
-    def __post_init__(self):
-        if not isinstance(self.burge, TwoRowArray):
-            raise ValueError(f"a Sundaram pair needs a TwoRowArray, got {type(self.burge).__name__}")
-        object.__setattr__(self, "tableau", check_tableau(self.tableau))
+    def __init__(self, burge, tableau):
+        if not isinstance(burge, TwoRowArray):
+            raise ValueError(f"a Sundaram pair needs a TwoRowArray, got {type(burge).__name__}")
+        object.__setattr__(self, "burge", burge)
+        object.__setattr__(self, "tableau", check_tableau(tableau))
 
     @classmethod
     def _of(cls, burge: TwoRowArray, tableau: Tableau) -> "SundaramPair":
@@ -132,6 +141,14 @@ class SundaramPair:
         object.__setattr__(out, "burge", burge)
         object.__setattr__(out, "tableau", tableau)
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.burge, self.tableau) == (other.burge, other.tableau)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.burge, self.tableau))
 
     def length(self) -> int:
         return 2 * len(self.burge) + sum(tableau_shape(self.tableau))

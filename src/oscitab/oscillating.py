@@ -9,14 +9,14 @@ additions left-to-right.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator
 
 from .shapes import (
     Box,
     Composition,
     Partition,
+    _Record,
     _weak_refinements,
     add_box,
     addable_boxes,
@@ -34,15 +34,14 @@ ADD = "add"
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class OscillatingTableau:
+class OscillatingTableau(_Record):
     """Chain of partitions from the empty shape, one box changed per step."""
 
+    __slots__ = _fields = ("chain",)
     chain: tuple[Partition, ...]
 
-    def __post_init__(self):
-        chain = tuple(tuple(p) for p in self.chain)
-        object.__setattr__(self, "chain", chain)
+    def __init__(self, chain):
+        chain = tuple(tuple(p) for p in chain)
         if not chain or chain[0] != ():
             raise ValueError("an oscillating tableau starts at the empty shape")
         for j in range(len(chain) - 1):
@@ -50,6 +49,7 @@ class OscillatingTableau:
             moves = [add_box(a, x) for x in addable_boxes(a)] + [remove_box(a, x) for x in removable_boxes(a)]
             if not (is_partition(b) and b in moves):  # is_partition rejects float and bool parts
                 raise ValueError(f"chain step {j} does not change exactly one box")
+        object.__setattr__(self, "chain", chain)
 
     @classmethod
     def _of(cls, chain: tuple[Partition, ...]) -> "OscillatingTableau":
@@ -57,6 +57,14 @@ class OscillatingTableau:
         out = object.__new__(cls)
         object.__setattr__(out, "chain", chain)
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.chain == other.chain
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.chain,))
 
     @property
     def shape(self) -> Partition:
@@ -67,34 +75,57 @@ class OscillatingTableau:
         return len(self.chain) - 1
 
 
-@dataclass(frozen=True)
-class EventTrace:
+class EventTrace(_Record):
     """Substep history: letters, touched boxes and add/delete kinds."""
 
+    __slots__ = _fields = ("profile", "boxes", "kinds")
     profile: tuple[int, ...]
     boxes: tuple[Box, ...]
     kinds: tuple[str, ...]
+
+    def __init__(self, profile, boxes, kinds):
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "kinds", kinds)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.profile, self.boxes, self.kinds) == (other.profile, other.boxes, other.kinds)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.profile, self.boxes, self.kinds))
 
     def __len__(self) -> int:
         return len(self.profile)
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(_Record):
     """Weakly increasing letters with bars at descents, e.g. ``111|222233``."""
 
+    __slots__ = _fields = ("letters", "bars")
     letters: tuple[int, ...]
     bars: frozenset[int]
 
-    def __post_init__(self):
-        u = self.letters
+    def __init__(self, letters, bars):
+        u = letters
         if any(u[j] > u[j + 1] for j in range(len(u) - 1)):
             raise ValueError("run letters must weakly increase")
-        for j in self.bars:
+        for j in bars:
             if not 1 <= j <= len(u) - 1:
                 raise ValueError(f"bar position {j} out of range")
             if u[j - 1] >= u[j]:
                 raise ValueError("letters must strictly increase across a bar")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "bars", bars)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letters, self.bars) == (other.letters, other.bars)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters, self.bars))
 
     def __str__(self) -> str:
         out = []
@@ -109,19 +140,18 @@ class Run:
         return len(self.bars) + 1 if self.letters else 0
 
 
-@dataclass(frozen=True)
-class SSOT:
+class SSOT(_Record):
     """Steps ``(deleted, reached)``: shape after step i's deletions, then additions.
 
     The first step deletes nothing; the last step must change the shape.
     Interior steps may be empty, which shifts all later letters.
     """
 
+    __slots__ = _fields = ("steps",)
     steps: tuple[tuple[Partition, Partition], ...]
 
-    def __post_init__(self):
-        steps = tuple((check_partition(d), check_partition(r)) for d, r in self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps):
+        steps = tuple((check_partition(d), check_partition(r)) for d, r in steps)
         prev: Partition = ()
         for i, (deleted, reached) in enumerate(steps, 1):
             if i == 1 and deleted != ():
@@ -136,6 +166,7 @@ class SSOT:
             before = steps[-2][1] if len(steps) > 1 else ()
             if deleted == before and reached == deleted:
                 raise ValueError("the last step must change the shape")
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def _of(cls, steps: tuple[tuple[Partition, Partition], ...]) -> "SSOT":
@@ -143,6 +174,14 @@ class SSOT:
         out = object.__new__(cls)
         object.__setattr__(out, "steps", steps)
         return out
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps,))
 
     @property
     def shape(self) -> Partition:

@@ -13,6 +13,33 @@ Composition = tuple[int, ...]
 Box = tuple[int, int]
 
 
+class _Record:
+    """Base of the immutable value classes, built on their ``_fields``.
+
+    A subclass lists its fields in ``__slots__`` and ``_fields`` and writes
+    its own ``__init__``, ``__eq__`` and ``__hash__``, the methods that hot
+    loops call.  This base makes the fields read-only, writes the repr
+    ``Cls(field=value, ...)``, and pickles and copies through the public
+    constructor, so a restored value is checked again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
 def is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing tuple of positive integers."""
     return all(type(p) is int and p >= 1 for p in parts) and all(

@@ -281,7 +281,7 @@ def test_parser_is_built_once(capsys):
     assert capsys.readouterr().out.endswith("}\n3,2\n3,1,1\n2,2,1\n2,1,1,1\n")
 
 
-def test_threads_hint_accepted(capsys):
+def test_removed_threads_option_is_a_usage_error(capsys):
     # the option changed nothing and was removed, so it is now a usage error
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "4", "n0", "3", "1,1,1"])

@@ -1,0 +1,66 @@
+"""Start-up: what a fresh interpreter imports to build the CLI, and the CLI run in a fresh process."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+# modules that cost start-up time and that building the CLI does not need
+COLD = ("dataclasses", "inspect", "typing", "fractions", "decimal", "oscitab.analysis")
+
+
+def benchmark_probe() -> str:
+    """The statement that the benchmark times as ``setup_s``, read from ``oscbench/run.py``."""
+    tree = ast.parse((ROOT / "oscbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["PROBE"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("oscbench/run.py defines no PROBE")
+
+
+def fresh_python(*args: str) -> bytes:
+    """Standard output of ``python3 -S`` in a new process with only ``src`` on the path, as the probe runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", *args], env=env, cwd=ROOT, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_building_the_cli_imports_no_cold_module():
+    out = fresh_python("-c", benchmark_probe() + f"; print(); print(sorted(set({COLD!r}) & set(sys.modules)))")
+    assert out == b"ready\n[]\n"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import oscitab; assert oscitab.analysis.ssot_schur((1,), 1).degree == 1",
+        "from oscitab import analysis; assert analysis.ssot_schur",
+        "import oscitab.analysis; assert oscitab.analysis.ssot_schur",
+        "import oscitab; assert {'analysis', *oscitab.__all__} <= set(dir(oscitab))",
+        "import oscitab; assert not hasattr(oscitab, 'no_such_module')",
+    ],
+)
+def test_analysis_loads_on_first_access(statement):
+    assert fresh_python("-c", statement + "; print('ok')") == b"ok\n"
+
+
+# vset needs no analysis; the other commands import it when they run
+FRESH_CASES = [
+    ("vset_21_7.txt", ["vset", "2,1", "7"]),
+    ("snp_21_5_3.json.txt", ["snp", "2,1", "5", "3", "--json"]),
+    ("expand_schur_21_5.json.txt", ["expand-schur", "2,1", "5", "--json"]),
+    ("inner_3_111_5.json.txt", ["inner-product", "3", "1,1,1", "5", "--json"]),
+    ("n0_3_111.txt", ["n0", "3", "1,1,1"]),
+    ("independence_3_5.json.txt", ["independence", "3", "5", "--json"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", FRESH_CASES, ids=[c[0] for c in FRESH_CASES])
+def test_cli_in_a_fresh_process(name, argv):
+    assert fresh_python("-m", "oscitab.cli", *argv) == (GOLDEN / name).read_bytes()

@@ -8,16 +8,18 @@ polytope is a permutahedron, whose lattice points are the weak compositions
 whose sorted form is dominated by the top exponent.  Other supports fall
 back to a feasibility search over ``fractions.Fraction`` per lattice point,
 never floating-point geometry; it is the only code here that uses fractions.
+The results ``SchurExpansion`` and ``LatticePolytopeCheck`` are records on
+the package's one value base, ``shapes._Record``.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 
 from .shapes import (
     Partition,
+    _Record,
     _weak_refinements,
     check_in_N,
     check_partition,
@@ -31,18 +33,25 @@ from .tableaux import lr_product
 from .polyring import SparsePoly, is_symmetric
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(_Record):
     """Nonnegative integer combination of Schur functions of one degree.
 
-    ``coefficients`` is a read-only mapping from partitions to coefficients.
+    ``coefficients`` is a read-only copy of the mapping, or the pairs
+    ``(partition, coefficient)``, that the expansion is built from.
     """
 
+    __slots__ = _fields = ("degree", "coefficients")
     degree: int
     coefficients: MappingProxyType
 
-    def __hash__(self) -> int:
+    def __init__(self, degree, coefficients):
+        super().__init__(degree, MappingProxyType(dict(coefficients)))
+
+    def __hash__(self) -> int:  # a mappingproxy is not hashable
         return hash((self.degree, frozenset(self.coefficients.items())))
+
+    def __reduce__(self):  # nor picklable, so pickle and copy pass a dict
+        return SchurExpansion, (self.degree, dict(self.coefficients))
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +71,7 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     """
     lam = check_partition(trim(lam))
     check_in_N(lam, n)
-    return SchurExpansion(n, MappingProxyType(dict(_ssot_schur_items(lam, n))))
+    return SchurExpansion(n, _ssot_schur_items(lam, n))
 
 
 def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
@@ -213,10 +222,10 @@ def in_convex_hull(point, points) -> bool:
     return infeasibility == 0
 
 
-@dataclass(frozen=True)
-class LatticePolytopeCheck:
+class LatticePolytopeCheck(_Record):
     """Support, lattice points of its hull, and whether the two sets agree."""
 
+    __slots__ = _fields = ("support", "polytope_points", "snp")
     support: tuple[tuple[int, ...], ...]
     polytope_points: tuple[tuple[int, ...], ...]
     snp: bool

@@ -3,8 +3,6 @@
 Partitions are passed as comma-separated parts (``2,1``; ``-`` for the empty
 partition), Burge pairs as ``top,bottom`` arguments, SSOTs as JSON files in
 the step-pair encoding.  Identical invocations produce byte-identical output.
-The commands that need ``analysis`` import it when they run, so that the
-others start without it.
 """
 
 import argparse
@@ -14,7 +12,7 @@ import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
-from . import correspondences, oscillating, polyring
+from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
 from .oscillating import SSOT, descent_composition
 from .shapes import Partition, v_set
@@ -184,8 +182,6 @@ def cmd_expand_f(args) -> None:
 
 
 def cmd_expand_schur(args) -> None:
-    from . import analysis
-
     lam = parse_partition(args.partition)
     expansion = analysis.ssot_schur(lam, args.n)
     if args.json:
@@ -257,8 +253,6 @@ def cmd_sundaram(args) -> None:
 
 
 def cmd_inner_product(args) -> None:
-    from . import analysis
-
     lam = parse_partition(args.lhs)
     mu = parse_partition(args.rhs)
     value = analysis.hall_inner(lam, mu, args.n)
@@ -269,8 +263,6 @@ def cmd_inner_product(args) -> None:
 
 
 def cmd_n0(args) -> None:
-    from . import analysis
-
     lam = parse_partition(args.lhs)
     mu = parse_partition(args.rhs)
     value = analysis.n_zero(lam, mu)
@@ -281,8 +273,6 @@ def cmd_n0(args) -> None:
 
 
 def cmd_independence(args) -> None:
-    from . import analysis
-
     rank = analysis.independence_rank(args.m, args.n)
     expected = len(analysis.partitions_of(args.m))
     if args.json:
@@ -292,8 +282,6 @@ def cmd_independence(args) -> None:
 
 
 def cmd_snp(args) -> None:
-    from . import analysis
-
     lam = parse_partition(args.partition)
     f = polyring.ssot_poly(lam, args.n, args.k)
     check = analysis.has_snp(f)

@@ -11,7 +11,7 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 
-from .shapes import Box, Partition, _Record, conjugate
+from .shapes import Box, Partition, _Record, _tuple_of, conjugate
 from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
     Tableau,
@@ -35,26 +35,11 @@ class TwoRowArray(_Record):
     pairs: tuple[Pair, ...]
 
     def __init__(self, pairs):
-        pairs = tuple(tuple(p) for p in pairs)
+        pairs = _tuple_of(pairs, "array pairs", tuple)
         for p in pairs:
             if len(p) != 2 or any(type(x) is not int or x < 1 for x in p):
                 raise ValueError(f"array pairs must be two positive integers, got {p}")
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def _of(cls, pairs: tuple[Pair, ...]) -> "TwoRowArray":
-        """Array from a tuple of pairs already known to be valid."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "pairs", pairs)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pairs,))
+        super().__init__(pairs)
 
     def is_lexicographic(self) -> bool:
         return all(self.pairs[i] <= self.pairs[i + 1] for i in range(len(self.pairs) - 1))
@@ -131,24 +116,7 @@ class SundaramPair(_Record):
     def __init__(self, burge, tableau):
         if not isinstance(burge, TwoRowArray):
             raise ValueError(f"a Sundaram pair needs a TwoRowArray, got {type(burge).__name__}")
-        object.__setattr__(self, "burge", burge)
-        object.__setattr__(self, "tableau", check_tableau(tableau))
-
-    @classmethod
-    def _of(cls, burge: TwoRowArray, tableau: Tableau) -> "SundaramPair":
-        """Pair from an array and a tuple tableau already known to be valid."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "burge", burge)
-        object.__setattr__(out, "tableau", tableau)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.burge, self.tableau) == (other.burge, other.tableau)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.burge, self.tableau))
+        super().__init__(burge, check_tableau(tableau))
 
     def length(self) -> int:
         return 2 * len(self.burge) + sum(tableau_shape(self.tableau))

@@ -17,6 +17,7 @@ from .shapes import (
     Composition,
     Partition,
     _Record,
+    _tuple_of,
     _weak_refinements,
     add_box,
     addable_boxes,
@@ -41,7 +42,7 @@ class OscillatingTableau(_Record):
     chain: tuple[Partition, ...]
 
     def __init__(self, chain):
-        chain = tuple(tuple(p) for p in chain)
+        chain = _tuple_of(chain, "chain of partitions", tuple)
         if not chain or chain[0] != ():
             raise ValueError("an oscillating tableau starts at the empty shape")
         for j in range(len(chain) - 1):
@@ -49,22 +50,7 @@ class OscillatingTableau(_Record):
             moves = [add_box(a, x) for x in addable_boxes(a)] + [remove_box(a, x) for x in removable_boxes(a)]
             if not (is_partition(b) and b in moves):  # is_partition rejects float and bool parts
                 raise ValueError(f"chain step {j} does not change exactly one box")
-        object.__setattr__(self, "chain", chain)
-
-    @classmethod
-    def _of(cls, chain: tuple[Partition, ...]) -> "OscillatingTableau":
-        """Tableau from a chain of partition tuples already known to be valid."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "chain", chain)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.chain == other.chain
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.chain,))
+        super().__init__(chain)
 
     @property
     def shape(self) -> Partition:
@@ -83,19 +69,6 @@ class EventTrace(_Record):
     boxes: tuple[Box, ...]
     kinds: tuple[str, ...]
 
-    def __init__(self, profile, boxes, kinds):
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "kinds", kinds)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.profile, self.boxes, self.kinds) == (other.profile, other.boxes, other.kinds)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.profile, self.boxes, self.kinds))
-
     def __len__(self) -> int:
         return len(self.profile)
 
@@ -108,24 +81,15 @@ class Run(_Record):
     bars: frozenset[int]
 
     def __init__(self, letters, bars):
-        u = letters
-        if any(u[j] > u[j + 1] for j in range(len(u) - 1)):
-            raise ValueError("run letters must weakly increase")
+        u, bars = _tuple_of(letters, "run letters"), _tuple_of(bars, "bar positions")
+        if any(type(x) is not int for x in u) or u and u[0] < 1 or any(u[j] > u[j + 1] for j in range(len(u) - 1)):
+            raise ValueError(f"run letters must be weakly increasing positive integers, got {u}")
         for j in bars:
-            if not 1 <= j <= len(u) - 1:
-                raise ValueError(f"bar position {j} out of range")
+            if type(j) is not int or not 1 <= j <= len(u) - 1:
+                raise ValueError(f"bar position {j!r} out of range")
             if u[j - 1] >= u[j]:
                 raise ValueError("letters must strictly increase across a bar")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "bars", bars)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.letters, self.bars) == (other.letters, other.bars)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters, self.bars))
+        super().__init__(u, frozenset(bars))
 
     def __str__(self) -> str:
         out = []
@@ -151,7 +115,7 @@ class SSOT(_Record):
     steps: tuple[tuple[Partition, Partition], ...]
 
     def __init__(self, steps):
-        steps = tuple((check_partition(d), check_partition(r)) for d, r in steps)
+        steps = _tuple_of(steps, "SSOT steps", lambda step: tuple(map(check_partition, step)))
         prev: Partition = ()
         for i, (deleted, reached) in enumerate(steps, 1):
             if i == 1 and deleted != ():
@@ -166,22 +130,7 @@ class SSOT(_Record):
             before = steps[-2][1] if len(steps) > 1 else ()
             if deleted == before and reached == deleted:
                 raise ValueError("the last step must change the shape")
-        object.__setattr__(self, "steps", steps)
-
-    @classmethod
-    def _of(cls, steps: tuple[tuple[Partition, Partition], ...]) -> "SSOT":
-        """SSOT from steps of partition tuples already known to satisfy the invariants."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "steps", steps)
-        return out
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.steps,))
+        super().__init__(steps)
 
     @property
     def shape(self) -> Partition:
@@ -231,7 +180,7 @@ def _step_events(steps) -> Iterator[tuple[int, Box, str]]:
 def substep_events(S: SSOT) -> EventTrace:
     """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right."""
     profile, boxes, kinds = tuple(zip(*_step_events(S.steps))) or ((), (), ())
-    return EventTrace(profile, boxes, kinds)
+    return EventTrace._of(profile, boxes, kinds)
 
 
 def ot_events(O: OscillatingTableau) -> EventTrace:
@@ -246,7 +195,7 @@ def ot_events(O: OscillatingTableau) -> EventTrace:
         else:
             kinds.append(DELETE)
             boxes.append(_box_diff(b, a))
-    return EventTrace(tuple(range(1, O.length + 1)), tuple(boxes), tuple(kinds))
+    return EventTrace._of(tuple(range(1, O.length + 1)), tuple(boxes), tuple(kinds))
 
 
 def _box_diff(small: Partition, big: Partition) -> Box:
@@ -341,7 +290,8 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
     The events must replay into a chain from the empty shape, and the steps
     that the letters cut the chain into must yield the same events again.
     """
-    profile, boxes, kinds = tuple(profile), tuple(map(_int_pair, boxes)), tuple(kinds)
+    profile, kinds = _tuple_of(profile, "letters"), _tuple_of(kinds, "event kinds")
+    boxes = _tuple_of(boxes, "boxes", _int_pair)
     if not len(profile) == len(boxes) == len(kinds):
         raise ValueError("event components differ in length")
     if any(type(u) is not int for u in profile) or profile and profile[0] < 1:
@@ -541,7 +491,7 @@ def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, Eve
     def walk():
         for chain, boxes, kinds, des in _walk(lam, n, max_step):
             Q = SSOT._of(_steps(chain, _deletions(kinds), (*des, n)))
-            yield Q, EventTrace(tuple(_block_letters(n, des)), boxes, kinds), des
+            yield Q, EventTrace._of(tuple(_block_letters(n, des)), boxes, kinds), des
 
     return walk()
 

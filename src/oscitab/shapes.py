@@ -7,24 +7,71 @@ modulo trailing zeros.  Boxes are 1-based ``(row, col)`` pairs.
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import attrgetter
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 Box = tuple[int, int]
 
 
+class _FromDataclassTwin:
+    """Class attribute read off a frozen dataclass with the record's fields."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        from dataclasses import make_dataclass  # imported here: start-up never needs it
+
+        return getattr(make_dataclass(cls.__name__, cls._fields, frozen=True), self.name)
+
+
 class _Record:
     """Base of the immutable value classes, built on their ``_fields``.
 
-    A subclass lists its fields in ``__slots__`` and ``_fields`` and writes
-    its own ``__init__``, ``__eq__`` and ``__hash__``, the methods that hot
-    loops call.  This base makes the fields read-only, writes the repr
-    ``Cls(field=value, ...)``, and pickles and copies through the public
-    constructor, so a restored value is checked again.
+    A subclass lists its fields in ``__slots__`` and ``_fields``.  Records of
+    one class compare and hash by their fields, which are read-only; the repr
+    is ``Cls(field=value, ...)``; pickle and copy go through the public
+    constructor, so a restored value is checked again.  ``__init__`` takes
+    the fields by position or name unchecked, and a subclass with checks
+    overrides it; ``_of`` builds a record from values known to be valid.
+    ``dataclasses.replace`` and ``dataclasses.fields`` accept records too,
+    and the changed copy goes through the constructor; ``dataclasses`` is
+    imported only when they are used.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _FromDataclassTwin()
+    __dataclass_params__ = _FromDataclassTwin()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for setter, value in zip(self._setters, (*args, *(kwargs[name] for name in names[len(args):]))):
+            setter(self, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """Record holding ``values`` in field order, past every check of the constructor."""
+        out = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(out, value)
+        return out
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -45,6 +92,14 @@ def is_partition(parts) -> bool:
     return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
+
+
+def _tuple_of(items, what: str, convert=None) -> tuple:
+    """``tuple(items)``, each item passed through ``convert`` if given; ``ValueError`` for a wrong type."""
+    try:
+        return tuple(items if convert is None else map(convert, items))
+    except TypeError:
+        raise ValueError(f"malformed {what}: {items!r}") from None
 
 
 def check_partition(parts) -> Partition:

@@ -30,7 +30,7 @@ def test_ssot_schur_paper_example():
         (2, 2, 1): 1,
         (2, 1, 1, 1): 1,
     }
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         expansion.degree = 7
     with pytest.raises(TypeError):
         expansion.coefficients[(5,)] = 9
@@ -298,7 +298,7 @@ def test_has_snp_examples():
     check = has_snp(ssot_poly((2, 1), 5, 3))
     assert check.snp
     assert set(check.support) == set(check.polytope_points)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         check.snp = False
     assert not dataclasses.replace(check, snp=False).snp
 

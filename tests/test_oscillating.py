@@ -421,6 +421,9 @@ def test_ssot_from_events_rejects_letters_and_boxes_that_are_not_integers():
     ):
         with pytest.raises(ValueError):
             ssot_from_events(profile, boxes, [ADD])
+    for events in ((None, None, None), (1, 2, 3), ([1], None, [ADD])):
+        with pytest.raises(ValueError):
+            ssot_from_events(*events)
 
 
 def test_replay_events_rejects_unknown_kinds():

@@ -1,50 +1,75 @@
 """Value semantics of the record classes: equality, hash, repr, immutability, pickling and copying."""
 
 import copy
+import dataclasses
 import pickle
+import pprint
+from types import MappingProxyType
 
 import pytest
 
+import oscitab  # noqa: F401  (loads every module, so every record class exists)
+from oscitab.analysis import LatticePolytopeCheck, SchurExpansion
 from oscitab.correspondences import SundaramPair, TwoRowArray
 from oscitab.oscillating import ADD, DELETE, SSOT, EventTrace, OscillatingTableau, Run
+from oscitab.shapes import _Record
 
-# (class, fields, fields of an unequal instance, fields the constructor rejects or None)
+# (class, fields, fields of an unequal instance, fields the constructor rejects)
 CASES = [
     (
         OscillatingTableau,
         {"chain": ((), (1,), (2,), (1,))},
         {"chain": ((), (1,), (1, 1), (1,))},
-        {"chain": ((), (2,))},
+        [{"chain": ((), (2,))}, {"chain": None}, {"chain": [1, 2]}],
     ),
     (
         EventTrace,
         {"profile": (1, 1, 2), "boxes": ((1, 1), (1, 2), (1, 2)), "kinds": (ADD, ADD, DELETE)},
         {"profile": (1, 2, 3), "boxes": ((1, 1), (1, 2), (1, 2)), "kinds": (ADD, ADD, DELETE)},
-        None,  # an event trace is a plain record; its builders check it
+        [],  # an event trace is a plain record; its builders check it
     ),
     (
         Run,
         {"letters": (1, 1, 2, 2), "bars": frozenset({2})},
         {"letters": (1, 1, 2, 2), "bars": frozenset()},
-        {"letters": (2, 1), "bars": frozenset()},
+        [
+            {"letters": (2, 1), "bars": frozenset()},
+            {"letters": None, "bars": None},
+            {"letters": (0, 1), "bars": frozenset()},
+            {"letters": (1, 1.5), "bars": frozenset()},
+            {"letters": (1, 2), "bars": ("a",)},
+            {"letters": (1, 2), "bars": [[1]]},
+        ],
     ),
     (
         SSOT,
         {"steps": (((), (1,)), ((1,), (2, 1)), ((1, 1), (1, 1)), ((1,), (1,)))},
         {"steps": (((), (1,)), ((1,), (2, 1)))},
-        {"steps": (((1,), (1,)),)},
+        [{"steps": (((1,), (1,)),)}, {"steps": [1]}, {"steps": None}],
     ),
     (
         TwoRowArray,
         {"pairs": ((2, 1), (3, 1), (3, 2))},
         {"pairs": ((2, 1),)},
-        {"pairs": ((0, 1),)},
+        [{"pairs": ((0, 1),)}, {"pairs": None}, {"pairs": [1, 2]}],
     ),
     (
         SundaramPair,
         {"burge": TwoRowArray(((2, 1),)), "tableau": ((1, 2), (3,))},
         {"burge": TwoRowArray(()), "tableau": ((1, 2), (3,))},
-        {"burge": ((2, 1),), "tableau": ((1, 2), (3,))},
+        [{"burge": ((2, 1),), "tableau": ((1, 2), (3,))}],
+    ),
+    (
+        SchurExpansion,
+        {"degree": 3, "coefficients": MappingProxyType({(3,): 1, (2, 1): 1})},
+        {"degree": 3, "coefficients": MappingProxyType({(3,): 1})},
+        [],  # results are plain records; the functions that return them check their input
+    ),
+    (
+        LatticePolytopeCheck,
+        {"support": ((2, 0), (0, 2)), "polytope_points": ((2, 0), (1, 1), (0, 2)), "snp": False},
+        {"support": ((2, 0), (0, 2)), "polytope_points": ((2, 0), (0, 2)), "snp": True},
+        [],
     ),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -69,6 +94,10 @@ def test_record_value_semantics(cls, fields, other, bad):
             assert value != case[0](**case[1])
             assert value.__eq__(case[0](**case[1])) is NotImplemented
     assert repr(value) == f"{cls.__name__}({', '.join(f'{name}={v!r}' for name, v in fields.items())})"
+    with pytest.raises(TypeError):  # a field too many
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):  # the first field missing
+        cls(**dict(list(fields.items())[1:]))
 
     for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
@@ -78,15 +107,43 @@ def test_record_value_semantics(cls, fields, other, bad):
     assert value == cls(**fields)
 
     assert not hasattr(value, "__dict__")
-    if hasattr(cls, "_of"):  # the trusted builder makes the same value
-        trusted = cls._of(*fields.values())
-        assert trusted == value and hash(trusted) == hash(value) and not hasattr(trusted, "__dict__")
+    trusted = cls._of(*fields.values())  # the trusted builder makes the same value
+    assert trusted == value and hash(trusted) == hash(value) and not hasattr(trusted, "__dict__")
 
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is cls and twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
-    if bad is not None:
+    # dataclasses.replace copies through the constructor, as for the frozen dataclasses some records were
+    assert dataclasses.is_dataclass(value) and [f.name for f in dataclasses.fields(value)] == list(fields)
+    assert dataclasses.replace(value) == value and dataclasses.replace(value, **other) == cls(**other)
+    assert pprint.pformat(value, width=20) == repr(value)
+
+    for rejected in bad:
         with pytest.raises(ValueError):
-            cls(**bad)
+            cls(**rejected)
+        with pytest.raises(ValueError):
+            dataclasses.replace(value, **rejected)
         with pytest.raises(ValueError):  # unpickling builds through the constructor, which checks again
-            pickle.loads(pickle.dumps(forged(cls, bad)))
+            pickle.loads(pickle.dumps(forged(cls, rejected)))
+
+
+def test_run_stores_immutable_fields():
+    frozen = Run((1, 1, 2), frozenset({2}))
+    for run in (Run((1, 1, 2), {2}), Run([1, 1, 2], [2])):
+        assert type(run.letters) is tuple and type(run.bars) is frozenset
+        assert run == frozen and hash(run) == hash(frozen)
+
+
+def records(cls=_Record):
+    """Every subclass of ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from records(sub)
+
+
+def test_every_record_is_tested_and_keeps_the_one_value_model():
+    # every record of the package is in CASES, and none writes its own equality, hash or trusted builder
+    assert set(records()) == {case[0] for case in CASES}
+    for cls in records():
+        own = {"__eq__", "__hash__", "_of"} & set(vars(cls))
+        assert own == ({"__hash__"} if cls is SchurExpansion else set()), cls  # a mappingproxy is not hashable

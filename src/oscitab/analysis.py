@@ -87,7 +87,7 @@ def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
 
 def n_similar(lam: Partition, mu: Partition, n: int) -> bool:
     """True when some partition of ``n`` is reachable from both shapes."""
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     return bool(set(v_set(lam, n)) & set(v_set(mu, n)))
@@ -99,7 +99,7 @@ def n_zero(lam: Partition, mu: Partition) -> int:
     Searches m, m+2, ... up to m*m, which always suffices: both shapes reach
     the square (m^m) by adding even vertical strips to the columns.
     """
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
     m = sum(lam)
     if m != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
@@ -260,6 +260,8 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     (Rado's theorem).  Any other support falls back to one exact phase-one
     simplex (``in_convex_hull``) per candidate lattice point.
     """
+    if not isinstance(f, SparsePoly):
+        raise ValueError(f"expected a SparsePoly, got {type(f).__name__}")
     if f.is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = sorted(f.terms)

@@ -163,6 +163,8 @@ def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple
 
     Yields ``(m, letter, kind, box)`` after each substep.
     """
+    if not isinstance(S, SSOT):
+        raise ValueError(f"expected an SSOT, got {type(S).__name__}")
     for m, (u, box, kind) in enumerate(_step_events(S.steps), 1):
         if kind == ADD:
             _place_entry(cols, box, u)

@@ -227,7 +227,7 @@ def _events_of(x) -> EventTrace:
         return substep_events(x)
     if isinstance(x, OscillatingTableau):
         return ot_events(x)
-    raise TypeError(f"expected SSOT, OscillatingTableau or EventTrace, got {type(x).__name__}")
+    raise ValueError(f"expected SSOT, OscillatingTableau or EventTrace, got {type(x).__name__}")
 
 
 def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
@@ -270,6 +270,8 @@ def descent_data(x) -> tuple[frozenset[int], Composition, int]:
 
 def standardize(S: SSOT) -> OscillatingTableau:
     """Replace the j-th letter by j: the underlying oscillating tableau."""
+    if not isinstance(S, SSOT):
+        raise ValueError(f"expected an SSOT, got {type(S).__name__}")
     events = substep_events(S)
     return OscillatingTableau(replay_events(events.boxes, events.kinds))
 
@@ -359,66 +361,104 @@ def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
 def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Partition, int]]:
     """Every event from ``shape``: its kind, its box, the shape it reaches and that shape's distance to ``lam``.
 
-    Deletions come first, rightmost box first, then additions left to right.
-    The distance is the number of one-box moves from a shape to ``lam``:
-    down to their intersection, then up.
+    Deletions come first, rightmost box first, then additions left to right:
+    the corners of a partition lie further right in higher rows, so the
+    deletions run top row first and the additions from the new bottom row
+    up.  The distance is the number of one-box moves from a shape to
+    ``lam``, down to their intersection and then up:
+    ``|shape| + |lam| - 2 * sum(min(shape[r], lam[r]))``.  A move in row
+    ``r`` changes ``min(shape[r], lam[r])`` exactly when the row ends at or
+    before ``lam[r]`` (a deletion) or before it (an addition), so each
+    move's distance is the shape's own plus or minus one.
     """
-    size = sum(lam)
+    rows = len(shape)
+    dist = sum(shape) + sum(lam) - 2 * sum(map(min, shape, lam))
+    cap = lam + (0,) * (rows + 1 - len(lam))  # lam[r] for every row r <= rows
     out = []
-    for kind, boxes, step in (
-        (DELETE, removable_boxes(shape), remove_box),
-        (ADD, addable_boxes(shape), add_box),
-    ):
-        for box in boxes:
-            nxt = step(shape, box)
-            out.append((kind, box, nxt, sum(nxt) + size - 2 * sum(map(min, nxt, lam))))
+    for r in range(rows):
+        c = shape[r]
+        if r + 1 == rows or shape[r + 1] < c:
+            nxt = shape[:r] + (c - 1,) + shape[r + 1:] if c > 1 else shape[:r]
+            out.append((DELETE, (r + 1, c), nxt, dist + 1 if c <= cap[r] else dist - 1))
+    out.append((ADD, (rows + 1, 1), shape + (1,), dist - 1 if cap[rows] else dist + 1))
+    for r in range(rows - 1, -1, -1):
+        c = shape[r]
+        if r == 0 or shape[r - 1] > c:
+            nxt = shape[:r] + (c + 1,) + shape[r + 1:]
+            out.append((ADD, (r + 1, c + 1), nxt, dist - 1 if c < cap[r] else dist + 1))
     return out
+
+
+class _transitions(dict):
+    """Transition table of the OTs that end at ``lam``, filled in as it is read.
+
+    A state is ``(shape, kind, box)``: a shape with the kind and box of the
+    event that reached it, ``((), None, None)`` before the first event.
+    ``table[state]`` lists, in ``one_box_moves`` order, one
+    ``(state', descends, dist)`` per event from the shape: the state it
+    reaches, whether ``is_descent`` puts a descent between the two events,
+    and the distance of the new shape to ``lam``.  The descent-count DP and
+    the walk build one table per query.
+    """
+
+    __slots__ = ("lam", "moves")
+
+    def __init__(self, lam: Partition):
+        self.lam = lam
+        self.moves: dict[Partition, list] = {}  # per shape, shared by the states at that shape
+
+    def __missing__(self, state):
+        shape, kind, box = state
+        moves = self.moves.get(shape) or self.moves.setdefault(shape, one_box_moves(shape, self.lam))
+        out = self[state] = [
+            ((nxt, kind2, box2), kind is not None and is_descent(kind, box, kind2, box2), dist)
+            for kind2, box2, nxt, dist in moves
+        ]
+        return out
 
 
 def _walk(lam: Partition, n: int, max_parts: int):
     """Depth-first walk over the OTs of shape ``lam`` and length ``n`` with at most ``max_parts`` runs.
 
     Yields ``(chain, boxes, kinds, des)`` once per OT, ``des`` being its
-    descent positions, decided by ``is_descent`` as the walk goes.  As in the
-    descent-count DP, a branch is dropped when its shape is further from
-    ``lam`` than the events left, or when a descent would make more than
-    ``max_parts`` runs, so every branch taken ends in an OT that is yielded.
-    ``lam`` must be a partition and ``n`` nonnegative.
+    descent positions, read off the ``_transitions`` table as the walk goes.
+    As in the descent-count DP, a branch is dropped when its shape is
+    further from ``lam`` than the events left, or when a descent would make
+    more than ``max_parts`` runs, so every branch taken ends in an OT that
+    is yielded.  ``lam`` must be a partition and ``n`` nonnegative.
     """
     if not in_N(lam, n):
         return
-    moves: dict[Partition, list] = {}
+    table = _transitions(lam)
     chain: list[Partition] = [()]
     boxes: list[Box] = []
     kinds: list[str] = []
     des: list[int] = []
 
-    def rec(left: int):
+    def rec(state, left: int):
         if left == 0:
             yield tuple(chain), tuple(boxes), tuple(kinds), tuple(des)
             return
-        shape = chain[-1]
-        options = moves.get(shape) or moves.setdefault(shape, one_box_moves(shape, lam))
         t = len(boxes)
-        for kind, box, nxt, dist in options:
+        for target, descends, dist in table[state]:
             if dist >= left:
                 continue
-            descends = t > 0 and is_descent(kinds[-1], boxes[-1], kind, box)
             if descends:
                 if len(des) + 2 > max_parts:
                     continue
                 des.append(t)
-            chain.append(nxt)
+            shape, kind, box = target
+            chain.append(shape)
             boxes.append(box)
             kinds.append(kind)
-            yield from rec(left - 1)
+            yield from rec(target, left - 1)
             chain.pop()
             boxes.pop()
             kinds.pop()
             if descends:
                 des.pop()
 
-    yield from rec(n)
+    yield from rec(((), None, None), n)
 
 
 def _steps(chain, dels, ends) -> tuple[tuple[Partition, Partition], ...]:

@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, partitions_of, trim
 from .tableaux import lr_product
-from .oscillating import check_tableau_query, descent_composition, is_descent, one_box_moves
+from .oscillating import _transitions, check_tableau_query, descent_composition
 
 
 class SparsePoly:
@@ -255,34 +255,24 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     built one event at a time without listing them.  A layer maps each state
     (shape, kind and box of the last event) to the descent sets reached so
     far, as bitmasks with bit j for a descent after event j, and their
-    counts.  A branch is dropped when its shape is further from ``lam`` than
-    the events left, or when a descent would make more than ``max_step``
-    parts.
+    counts.  The moves and their descent flags come from the
+    ``_transitions`` table, which the OT walk reads too.  A branch is
+    dropped when its shape is further from ``lam`` than the events left, or
+    when a descent would make more than ``max_step`` parts.  The counts of
+    the end states are summed by mask before each mask is decoded.
     """
     if not in_N(lam, n):
         return {}
     if n == 0:
         return {(): 1}
-    moves: dict = {}
-    events: dict = {}  # per shape, shared by the states at that shape
-
-    def moves_from(state) -> list:
-        shape, kind, box = state
-        options = events.get(shape) or events.setdefault(shape, one_box_moves(shape, lam))
-        out = [
-            ((nxt, kind2, box2), kind is not None and is_descent(kind, box, kind2, box2), dist)
-            for kind2, box2, nxt, dist in options
-        ]
-        moves[state] = out
-        return out
-
+    table = _transitions(lam)
     layer = {((), None, None): {0: 1}}
     for t in range(n):
         left = n - 1 - t
         bit = 1 << t
         nxt_layer: dict = {}
         for state, masks in layer.items():
-            for target, descends, dist in moves.get(state) or moves_from(state):
+            for target, descends, dist in table[state]:
                 if dist > left:
                     continue
                 acc = nxt_layer.setdefault(target, {})
@@ -295,12 +285,14 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
                         acc[mask] = acc.get(mask, 0) + c
         layer = nxt_layer
 
-    counts: dict[Composition, int] = {}
+    totals: dict[int, int] = {}
     for masks in layer.values():
         for mask, c in masks.items():
-            comp = descent_composition(tuple(j for j in range(1, n) if mask >> j & 1), n)
-            counts[comp] = counts.get(comp, 0) + c
-    return counts
+            totals[mask] = totals.get(mask, 0) + c
+    return {
+        descent_composition(tuple(j for j in range(1, n) if mask >> j & 1), n): c
+        for mask, c in totals.items()
+    }
 
 
 def ssot_poly(lam: Partition, n: int, k: int) -> SparsePoly:
@@ -378,6 +370,8 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
     the c_nu K(nu, mu) of the nu found before.  K(., mu) is h_mu in the Schur
     basis: one ``lr_product`` Pieri strip per part of mu.
     """
+    if not isinstance(f, SparsePoly):
+        raise ValueError(f"expected a SparsePoly, got {type(f).__name__}")
     if f.is_zero():
         return {}
     if not f.is_homogeneous():

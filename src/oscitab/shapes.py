@@ -103,7 +103,8 @@ def _tuple_of(items, what: str, convert=None) -> tuple:
 
 
 def check_partition(parts) -> Partition:
-    lam = tuple(parts)
+    """``parts`` as a tuple; ``ValueError`` unless it is a partition, with no zero parts."""
+    lam = parts if type(parts) is tuple else _tuple_of(parts, "partition")
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     return lam
@@ -134,8 +135,8 @@ def is_even_partition(lam: Partition) -> bool:
 
 
 def trim(c) -> Composition:
-    """Canonical form of a composition: drop trailing zeros."""
-    c = tuple(c)
+    """Canonical form of a composition: drop trailing zeros; ``ValueError`` if ``c`` is not iterable."""
+    c = c if type(c) is tuple else _tuple_of(c, "shape or composition")
     end = len(c)
     while end > 0 and c[end - 1] == 0:
         end -= 1

@@ -19,6 +19,7 @@ from oscitab.oscillating import (
     enumerate_qyot,
     enumerate_ssot,
     is_quasi_yamanouchi,
+    one_box_moves,
     ot_events,
     render_boxes,
     replay_events,
@@ -157,6 +158,24 @@ def reference_block_letters(n, des):
 
 def validated_ssot(letters, events):
     return SSOT(ssot_from_events(letters, events.boxes, events.kinds).steps)
+
+
+def reference_moves(shape, lam):
+    # one-box moves by the validating shape helpers, each distance from scratch
+    def dist(nu):
+        return sum(nu) + sum(lam) - 2 * sum(min(a, b) for a, b in zip(nu, lam))
+
+    moves = [(DELETE, b, remove_box(shape, b)) for b in removable_boxes(shape)]
+    moves += [(ADD, b, add_box(shape, b)) for b in addable_boxes(shape)]
+    return [(kind, box, nu, dist(nu)) for kind, box, nu in moves]
+
+
+def test_one_box_moves_match_reference():
+    for m in range(9):
+        for shape in partitions_of(m):
+            for size in range(6):
+                for lam in partitions_of(size):
+                    assert one_box_moves(shape, lam) == reference_moves(shape, lam), (shape, lam)
 
 
 def test_listings_match_reference_enumeration():

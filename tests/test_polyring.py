@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from oscitab import analysis, correspondences, oscillating, shapes, tableaux
 from oscitab.analysis import ssot_schur
 from oscitab.oscillating import com, descent_data, enumerate_qyot, enumerate_ssot
 from oscitab.polyring import (
@@ -27,6 +28,8 @@ from oscitab.shapes import (
     trim,
 )
 from oscitab.tableaux import des_syt, enumerate_syt, ssyt_of_shape, weight
+
+from test_oscillating import reference_ots
 
 
 def poly_from_pairs(k, pairs):
@@ -198,6 +201,17 @@ def test_descent_counts_match_enumerators():
                     assert list(got) == sorted(got, reverse=True)
 
 
+def test_descent_counts_match_reference_ots():
+    # the transfer-matrix counts against OTs listed without the transition table
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(9):
+                comps = [descent_data(O)[1] for O in reference_ots(lam, n)]
+                for max_step in range(1, n + 2):
+                    listed = Counter(comp for comp in comps if len(comp) <= max_step)
+                    assert f_expansion(lam, n, max_step) == listed, (lam, n, max_step)
+
+
 def test_ssot_poly_matches_enumerated_ssots():
     # the generating polynomial against the letter weights of listed SSOTs
     for m in range(4):
@@ -237,6 +251,30 @@ def test_bad_queries_raise():
             f_expansion(lam, n, bound)
         with pytest.raises(ValueError):
             ssot_poly(lam, n, bound)
+
+
+WRONG_TYPES = {
+    "ssot_schur": lambda: ssot_schur(None, 2),
+    "ssot_poly": lambda: ssot_poly(None, 2, 2),
+    "f_expansion": lambda: f_expansion(None, 2, 2),
+    "enumerate_ssot": lambda: enumerate_ssot(None, 2, 2),
+    "v_set": lambda: shapes.v_set(None, 2),
+    "hall_inner": lambda: analysis.hall_inner(None, None, 2),
+    "n_zero": lambda: analysis.n_zero(None, None),
+    "lr_product": lambda: tableaux.lr_product(None, None),
+    "run_of": lambda: oscillating.run_of(None),
+    "descent_data": lambda: descent_data(None),
+    "standardize": lambda: oscillating.standardize(None),
+    "sundaram": lambda: correspondences.sundaram(None),
+    "has_snp": lambda: analysis.has_snp(None),
+    "schur_expand": lambda: schur_expand(None),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_arguments_of_the_wrong_type_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_gessel_expansion_of_schur():

@@ -14,7 +14,8 @@ the package's one value base, ``shapes._Record``.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import le
 from types import MappingProxyType
 
 from .shapes import (
@@ -23,7 +24,6 @@ from .shapes import (
     _weak_refinements,
     check_in_N,
     check_partition,
-    dominance_leq,
     even_conjugate_partitions,
     partitions_of,
     trim,
@@ -237,18 +237,28 @@ def _permutahedron_points(support, degree: int, nvars: int):
     When the support is closed under permuting the variables and its
     lex-largest sorted exponent mu dominates every other sorted exponent, the
     Newton polytope is the permutahedron P(mu).  By Rado's theorem its lattice
-    points are the weak compositions whose sorted form mu dominates.
+    points are the weak compositions whose sorted form mu dominates.  Every
+    exponent has ``nvars`` parts summing to ``degree``, so dominance is decided
+    on prefix sums, once per distinct sorted form.
     """
     if not is_symmetric(SparsePoly._of(nvars, dict.fromkeys(support, 1))):
         return None
     shapes = {tuple(sorted(e, reverse=True)) for e in support}
-    top = max(shapes)
-    if not all(dominance_leq(s, top) for s in shapes):
+    bounds = tuple(accumulate(max(shapes)))
+    dominated: dict[tuple[int, ...], bool] = {}
+
+    def below_top(s) -> bool:
+        out = dominated.get(s)
+        if out is None:
+            out = dominated[s] = all(map(le, accumulate(s), bounds))
+        return out
+
+    if not all(map(below_top, shapes)):
         return None
     return tuple(
         p
         for p in _weak_refinements(trim((degree,)), nvars)
-        if dominance_leq(tuple(sorted(p, reverse=True)), top)
+        if below_top(tuple(sorted(p, reverse=True)))
     )
 
 

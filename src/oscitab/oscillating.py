@@ -10,6 +10,7 @@ additions left-to-right.
 
 from bisect import bisect_right
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import accumulate
 
 from .shapes import (
@@ -389,7 +390,7 @@ def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Part
     return out
 
 
-class _transitions(dict):
+class _Table(dict):
     """Transition table of the OTs that end at ``lam``, filled in as it is read.
 
     A state is ``(shape, kind, box)``: a shape with the kind and box of the
@@ -397,8 +398,8 @@ class _transitions(dict):
     ``table[state]`` lists, in ``one_box_moves`` order, one
     ``(state', descends, dist)`` per event from the shape: the state it
     reaches, whether ``is_descent`` puts a descent between the two events,
-    and the distance of the new shape to ``lam``.  The descent-count DP and
-    the walk build one table per query.
+    and the distance of the new shape to ``lam``.  An entry is stored whole,
+    so a walk stopped part way leaves only complete entries behind.
     """
 
     __slots__ = ("lam", "moves")
@@ -417,11 +418,23 @@ class _transitions(dict):
         return out
 
 
+@lru_cache(maxsize=None)
+def _transitions(lam: Partition) -> _Table:
+    """The transition table of ``lam``, one per shape for the life of the process.
+
+    The table is a pure function of ``lam``, so the descent-count DP and the
+    walk share it: a query reuses every state that earlier queries on the
+    same shape filled in.  ``_transitions.cache_clear()`` empties it.
+    """
+    return _Table(lam)
+
+
 def _walk(lam: Partition, n: int, max_parts: int):
     """Depth-first walk over the OTs of shape ``lam`` and length ``n`` with at most ``max_parts`` runs.
 
     Yields ``(chain, boxes, kinds, des)`` once per OT, ``des`` being its
-    descent positions, read off the ``_transitions`` table as the walk goes.
+    descent positions, read off the shared ``_transitions`` table of ``lam``
+    as the walk goes, so it fills in the states it reaches for later queries.
     As in the descent-count DP, a branch is dropped when its shape is
     further from ``lam`` than the events left, or when a descent would make
     more than ``max_parts`` runs, so every branch taken ends in an OT that

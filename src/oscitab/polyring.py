@@ -10,7 +10,7 @@ from types import MappingProxyType
 
 from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, partitions_of, trim
 from .tableaux import lr_product
-from .oscillating import _transitions, check_tableau_query, descent_composition
+from .oscillating import _transitions, check_tableau_query
 
 
 class SparsePoly:
@@ -255,11 +255,13 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     built one event at a time without listing them.  A layer maps each state
     (shape, kind and box of the last event) to the descent sets reached so
     far, as bitmasks with bit j for a descent after event j, and their
-    counts.  The moves and their descent flags come from the
-    ``_transitions`` table, which the OT walk reads too.  A branch is
-    dropped when its shape is further from ``lam`` than the events left, or
-    when a descent would make more than ``max_step`` parts.  The counts of
-    the end states are summed by mask before each mask is decoded.
+    counts.  The moves and their descent flags come from the shared
+    ``_transitions`` table of ``lam``, which the OT walk reads too, so a
+    query on a shape seen before reuses the states already filled in.  A
+    branch is dropped when its shape is further from ``lam`` than the events
+    left, or when a descent would make more than ``max_step`` parts.  The
+    counts of the end states are summed by mask, and each distinct mask is
+    decoded once, straight into its composition.
     """
     if not in_N(lam, n):
         return {}
@@ -289,10 +291,21 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     for masks in layer.values():
         for mask, c in masks.items():
             totals[mask] = totals.get(mask, 0) + c
-    return {
-        descent_composition(tuple(j for j in range(1, n) if mask >> j & 1), n): c
-        for mask, c in totals.items()
-    }
+    return {_mask_composition(mask, n): c for mask, c in totals.items()}
+
+
+def _mask_composition(mask: int, n: int) -> Composition:
+    """The composition of ``n`` >= 1 cut at the set bits of ``mask``, in one pass over those bits."""
+    parts = []
+    prev = 0
+    while mask:
+        low = mask & -mask
+        j = low.bit_length() - 1
+        parts.append(j - prev)
+        prev = j
+        mask ^= low
+    parts.append(n - prev)
+    return tuple(parts)
 
 
 def ssot_poly(lam: Partition, n: int, k: int) -> SparsePoly:

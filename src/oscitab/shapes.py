@@ -298,14 +298,19 @@ def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
     return results
 
 
-@lru_cache(maxsize=None)
 def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     """Partitions of ``n`` reachable from ``lam`` by adding even-size vertical strips.
 
     Breadth-first closure over single strip additions; empty when the parity
-    or size constraint fails, and a ``ValueError`` for a negative ``n``.
+    or size constraint fails, and a ``ValueError`` for a non-partition shape
+    or a negative ``n``.  The answer is cached on the checked shape, so a list
+    and a shape with trailing zeros share one entry.
     """
-    lam = check_shape_query(lam, n)
+    return _v_set(check_shape_query(lam, n), n)
+
+
+@lru_cache(maxsize=None)
+def _v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     if not in_N(lam, n):
         return ()
     seen = {lam}

@@ -1,7 +1,8 @@
 import copy
 import pickle
+import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -210,6 +211,32 @@ def test_descent_counts_match_reference_ots():
                 for max_step in range(1, n + 2):
                     listed = Counter(comp for comp in comps if len(comp) <= max_step)
                     assert f_expansion(lam, n, max_step) == listed, (lam, n, max_step)
+
+
+def test_shared_table_answers_match_a_fresh_table():
+    # queries read each shape's table warm, in a shuffled order, and again right after it is emptied
+    queries = []
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 9, 2):
+                for k in range(1, n + 1):
+                    queries += [(f_expansion, lam, n, k), (walk, lam, n, k)]
+                    if k <= 4:  # above that ssot_poly reads the table as f_expansion does, and its time is the F-sum
+                        queries.append((ssot_poly, lam, n, k))
+            queries.append((cut_walk, lam, m + 4, m + 4))  # leaves the table half filled
+    random.Random(19).shuffle(queries)
+    warm = [f(lam, n, k) for f, lam, n, k in queries]
+    for (f, lam, n, k), answer in zip(queries, warm):
+        oscillating._transitions.cache_clear()
+        assert f(lam, n, k) == answer, (f.__name__, lam, n, k)
+
+
+def walk(lam, n, k):
+    return list(oscillating._walk(lam, n, k))
+
+
+def cut_walk(lam, n, k):
+    return list(islice(oscillating._walk(lam, n, k), 3))
 
 
 def test_ssot_poly_matches_enumerated_ssots():

@@ -3,6 +3,7 @@ from itertools import accumulate, product
 import pytest
 
 from oscitab.shapes import (
+    _v_set,
     _weak_refinements,
     add_box,
     addable_boxes,
@@ -180,6 +181,12 @@ def test_v_set_paper_examples():
     assert v_set((2, 1), 3) == ((2, 1),)
     assert v_set((2, 1), 4) == ()
     assert v_set((2, 1, 0), 5) == v_set((2, 1), 5)
+    # a list is checked like a tuple, and every spelling of one shape shares one cache entry
+    assert v_set([2, 1], 3) == ((2, 1),)
+    _v_set.cache_clear()
+    for lam in ((2, 1), [2, 1], (2, 1, 0), [2, 1, 0]):
+        assert v_set(lam, 5) == ((3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1))
+    assert _v_set.cache_info().currsize == 1
 
 
 def test_v_set_similarity_examples():

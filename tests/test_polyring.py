@@ -213,6 +213,14 @@ def test_descent_counts_match_reference_ots():
                     assert f_expansion(lam, n, max_step) == listed, (lam, n, max_step)
 
 
+def walk(lam, n, k):
+    return list(oscillating._walk(lam, n, k))
+
+
+def cut_walk(lam, n, k):
+    return list(islice(oscillating._walk(lam, n, k), 3))
+
+
 def test_shared_table_answers_match_a_fresh_table():
     # queries read each shape's table warm, in a shuffled order, and again right after it is emptied
     queries = []
@@ -229,14 +237,6 @@ def test_shared_table_answers_match_a_fresh_table():
     for (f, lam, n, k), answer in zip(queries, warm):
         oscillating._transitions.cache_clear()
         assert f(lam, n, k) == answer, (f.__name__, lam, n, k)
-
-
-def walk(lam, n, k):
-    return list(oscillating._walk(lam, n, k))
-
-
-def cut_walk(lam, n, k):
-    return list(islice(oscillating._walk(lam, n, k), 3))
 
 
 def test_ssot_poly_matches_enumerated_ssots():

@@ -37,7 +37,8 @@ class SchurExpansion(_Record):
     """Nonnegative integer combination of Schur functions of one degree.
 
     ``coefficients`` is a read-only copy of the mapping, or the pairs
-    ``(partition, coefficient)``, that the expansion is built from.
+    ``(partition, coefficient)``, that the expansion is built from; the
+    record base hashes it by its items and pickles it as a ``dict``.
     """
 
     __slots__ = _fields = ("degree", "coefficients")
@@ -46,12 +47,6 @@ class SchurExpansion(_Record):
 
     def __init__(self, degree, coefficients):
         super().__init__(degree, MappingProxyType(dict(coefficients)))
-
-    def __hash__(self) -> int:  # a mappingproxy is not hashable
-        return hash((self.degree, frozenset(self.coefficients.items())))
-
-    def __reduce__(self):  # nor picklable, so pickle and copy pass a dict
-        return SchurExpansion, (self.degree, dict(self.coefficients))
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +69,17 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     return SchurExpansion(n, _ssot_schur_items(lam, n))
 
 
-def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
-    """Hall pairing of two SSOT functions: dot product of their Schur coefficients."""
+def _same_size(lam, mu) -> tuple[Partition, Partition]:
+    """Both shapes checked and trimmed; ``ValueError`` unless they have the same size."""
     lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    return lam, mu
+
+
+def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
+    """Hall pairing of two SSOT functions: dot product of their Schur coefficients."""
+    lam, mu = _same_size(lam, mu)
     check_in_N(lam, n)
     left = dict(_ssot_schur_items(lam, n))
     right = dict(_ssot_schur_items(mu, n))
@@ -87,9 +88,7 @@ def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
 
 def n_similar(lam: Partition, mu: Partition, n: int) -> bool:
     """True when some partition of ``n`` is reachable from both shapes."""
-    lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    lam, mu = _same_size(lam, mu)
     return bool(set(v_set(lam, n)) & set(v_set(mu, n)))
 
 
@@ -99,12 +98,10 @@ def n_zero(lam: Partition, mu: Partition) -> int:
     Searches m, m+2, ... up to m*m, which always suffices: both shapes reach
     the square (m^m) by adding even vertical strips to the columns.
     """
-    lam, mu = check_partition(trim(lam)), check_partition(trim(mu))
+    lam, mu = _same_size(lam, mu)
     m = sum(lam)
-    if m != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     for n in range(m, m * m + 1, 2):
-        if n_similar(lam, mu, n):
+        if set(v_set(lam, n)) & set(v_set(mu, n)):
             return n
     raise RuntimeError(f"no similarity up to {m * m}; this contradicts the bound")
 

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
 from .oscillating import SSOT, descent_composition
-from .shapes import Partition, v_set
+from .shapes import Partition, is_partition, v_set
 
 
 def parse_partition(text: str) -> Partition:
@@ -25,9 +25,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed partition {text!r}: expected comma-separated integers")
-    if any(p < 1 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
+    if not is_partition(parts):
         raise ValueError(f"malformed partition {text!r}: parts must weakly decrease and be positive")
     return parts
 

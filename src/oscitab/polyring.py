@@ -8,52 +8,51 @@ from itertools import combinations
 from math import factorial
 from types import MappingProxyType
 
-from .shapes import Composition, Partition, _weak_refinements, check_partition, in_N, is_strong, partitions_of, trim
+from .shapes import Composition, Partition, _Record, _tuple_of, _weak_refinements, check_partition, in_N
+from .shapes import is_strong, partitions_of, trim
 from .tableaux import lr_product
 from .oscillating import _transitions, check_tableau_query
 
 
-class SparsePoly:
+def _check_coefficient(c) -> int:
+    """``c`` itself; ``ValueError`` unless it is an ``int`` (not a ``bool``)."""
+    if type(c) is not int:
+        raise ValueError(f"coefficients must be integers, got {c!r}")
+    return c
+
+
+class SparsePoly(_Record):
     """Immutable multivariate polynomial with exact integer coefficients.
 
-    ``terms`` is a read-only mapping from exponent tuples to nonzero
-    coefficients.
+    A record (``shapes._Record``) that prints as its terms.  ``terms`` maps
+    exponent tuples of length ``nvars`` to nonzero ``int`` coefficients,
+    read-only; it is built from a mapping or pairs, dropping zeros.
     """
 
-    __slots__ = ("_nvars", "_terms")
+    __slots__ = _fields = ("nvars", "terms")
+    nvars: int
+    terms: MappingProxyType
 
-    def __new__(cls, nvars: int, terms=None):
+    def __init__(self, nvars: int, terms=()):
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"nvars must be a nonnegative integer, got {nvars!r}")
+        try:
+            terms = dict(terms)
+        except TypeError:
+            raise ValueError(f"malformed terms: {terms!r}") from None
         checked = {}
-        for exp, coef in dict(terms or {}).items():
-            exp = tuple(exp)
+        for exp, coef in terms.items():
+            exp = _tuple_of(exp, "exponent vector")
             if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-            if type(coef) is not int:
-                raise ValueError(f"coefficients must be integers, got {coef!r}")
-            checked[exp] = coef
-        return cls._of(nvars, checked)
+            if _check_coefficient(coef):
+                checked[exp] = coef
+        super().__init__(nvars, MappingProxyType(checked))
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "SparsePoly":
-        """Polynomial from exponent tuples already known to fit ``nvars``; zero coefficients are dropped."""
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
-        out = object.__new__(cls)
-        out._nvars = nvars
-        out._terms = MappingProxyType({exp: c for exp, c in terms.items() if c})
-        return out
-
-    @property
-    def nvars(self) -> int:
-        return self._nvars
-
-    @property
-    def terms(self) -> MappingProxyType:
-        return self._terms
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the public constructor
-        return SparsePoly, (self._nvars, dict(self._terms))
+        """Polynomial from exponent tuples known to fit ``nvars``; zero coefficients are dropped."""
+        return super()._of(nvars, MappingProxyType({exp: c for exp, c in terms.items() if c}))
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -79,16 +78,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparsePoly)
-            and self._nvars == other._nvars
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def _check_compatible(self, other: "SparsePoly"):
         if not isinstance(other, SparsePoly):
             raise TypeError("expected a SparsePoly")
@@ -109,6 +98,7 @@ class SparsePoly:
         return self + (-other)
 
     def scale(self, c: int) -> "SparsePoly":
+        _check_coefficient(c)
         return SparsePoly._of(self.nvars, {exp: c * coef for exp, coef in self.terms.items()})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":

@@ -8,6 +8,7 @@ modulo trailing zeros.  Boxes are 1-based ``(row, col)`` pairs.
 from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
+from types import MappingProxyType
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -32,7 +33,8 @@ class _Record:
     A subclass lists its fields in ``__slots__`` and ``_fields``.  Records of
     one class compare and hash by their fields, which are read-only; the repr
     is ``Cls(field=value, ...)``; pickle and copy go through the public
-    constructor, so a restored value is checked again.  ``__init__`` takes
+    constructor, so a restored value is checked again.  A read-only mapping
+    field hashes by its items and pickles as a ``dict``.  ``__init__`` takes
     the fields by position or name unchecked, and a subclass with checks
     overrides it; ``_of`` builds a record from values known to be valid.
     ``dataclasses.replace`` and ``dataclasses.fields`` accept records too,
@@ -71,7 +73,15 @@ class _Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self))
+        try:
+            return hash(self._key(self))
+        except TypeError:  # a mapping field hashes by its items
+            return hash(self._values(lambda mapping: frozenset(mapping.items())))
+
+    def _values(self, plain):
+        """The field values in order, each read-only mapping passed through ``plain``."""
+        values = (getattr(self, name) for name in self._fields)
+        return tuple(plain(v) if type(v) is MappingProxyType else v for v in values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,7 +94,7 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._values(dict)
 
 
 def is_partition(parts) -> bool:
@@ -301,10 +311,11 @@ def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
 def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     """Partitions of ``n`` reachable from ``lam`` by adding even-size vertical strips.
 
-    Breadth-first closure over single strip additions; empty when the parity
-    or size constraint fails, and a ``ValueError`` for a non-partition shape
-    or a negative ``n``.  The answer is cached on the checked shape, so a list
-    and a shape with trailing zeros share one entry.
+    An even vertical strip is a chain of two-box ones (take off its two lowest
+    boxes and a partition is left), so two-box strips are added (n - |lam|)/2
+    times.  Empty when the parity or size constraint fails; ``ValueError``
+    for a non-partition shape or a negative ``n``.  Cached on the checked
+    shape, so a list and a shape with trailing zeros share one entry.
     """
     return _v_set(check_shape_query(lam, n), n)
 
@@ -313,19 +324,10 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
 def _v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     if not in_N(lam, n):
         return ()
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        new: list[Partition] = []
-        for mu in frontier:
-            room = n - sum(mu)
-            for size in range(2, room + 1, 2):
-                for nu in vertical_strip_additions(mu, size):
-                    if nu not in seen:
-                        seen.add(nu)
-                        new.append(nu)
-        frontier = new
-    return tuple(sorted((nu for nu in seen if sum(nu) == n), reverse=True))
+    layer = {lam}
+    for _ in range((n - sum(lam)) // 2):
+        layer = {nu for mu in layer for nu in vertical_strip_additions(mu, 2)}
+    return tuple(sorted(layer, reverse=True))
 
 
 def lambda_bar(lam: Partition, n: int) -> Partition:

@@ -5,11 +5,13 @@ increase.  Row words read the bottom row first, left to right within rows.
 """
 
 from bisect import bisect_left, bisect_right
+from operator import le, lt
 
 from .shapes import (
     Box,
     Composition,
     Partition,
+    _tuple_of,
     check_partition,
     conjugate,
     contains,
@@ -30,41 +32,35 @@ def tableau_shape(T: Tableau) -> Partition:
 def is_semistandard(T) -> bool:
     """True if ``T`` is an iterable of rows that make a semistandard tableau."""
     try:
-        rows = tuple(tuple(row) for row in T)
-    except TypeError:
+        check_tableau(T)
+    except ValueError:
         return False
-    return _is_semistandard(rows)
-
-
-def _is_semistandard(T: Tableau) -> bool:
-    """One pass over the rows of a tuple of tuples.
-
-    Rows are nonempty and weakly shorter going down, entries are ``int``s
-    >= 1 (not ``bool``), rows weakly increase and columns strictly increase.
-    """
-    above: tuple[int, ...] = ()
-    for row in T:
-        if not row or (above and len(row) > len(above)):
-            return False
-        prev = 1
-        for x in row:
-            if type(x) is not int or x < prev:
-                return False
-            prev = x
-        for a, x in zip(above, row):
-            if a >= x:
-                return False
-        above = row
     return True
 
 
 def check_tableau(T) -> Tableau:
+    """``T`` as a tuple of row tuples; ``ValueError`` unless it is a semistandard tableau.
+
+    One pass over the rows: they are nonempty and weakly shorter going down,
+    entries are ``int``s >= 1 (not ``bool``), rows weakly increase and columns
+    strictly increase.
+    """
     try:
         T = tuple(tuple(row) for row in T)
     except TypeError:
         raise ValueError(f"not a semistandard tableau: {T!r}") from None
-    if not _is_semistandard(T):
-        raise ValueError(f"not a semistandard tableau: {T}")
+    above: tuple[int, ...] = ()
+    for row in T:
+        if (
+            not row
+            or (above and len(row) > len(above))
+            or any(type(x) is not int for x in row)
+            or row[0] < 1
+            or not all(map(le, row, row[1:]))
+            or not all(map(lt, above, row))
+        ):
+            raise ValueError(f"not a semistandard tableau: {T}")
+        above = row
     return T
 
 
@@ -249,8 +245,10 @@ def step_syt(T: Tableau) -> int:
 
 
 def is_reverse_yamanouchi(word) -> bool:
-    """True if every suffix of the word has weakly decreasing letter counts."""
-    word = tuple(word)
+    """True if every suffix of the word has weakly decreasing letter counts; letters are ``int``s >= 1."""
+    word = _tuple_of(word, "word")
+    for x in word:
+        _check_letter(x)
     top = max(word, default=0)
     counts = [0] * (top + 2)
     for x in reversed(word):
@@ -293,10 +291,9 @@ def ssyt_of_shape(lam: Partition, max_entry: int):
 
 
 def enumerate_syt(lam: Partition):
-    """Yield all standard tableaux of shape ``lam``."""
-    n = sum(lam)
-    for T in _syt_rec(tuple(lam), n):
-        yield T
+    """Yield all standard tableaux of shape ``lam``; ``ValueError`` for a non-partition."""
+    lam = check_partition(trim(lam))
+    yield from _syt_rec(lam, sum(lam))
 
 
 def _syt_rec(lam: Partition, n: int):

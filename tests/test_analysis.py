@@ -113,8 +113,11 @@ def test_similarity():
     assert n_zero((3,), (1, 1, 1)) == 7
     assert n_zero((2, 1), (2, 1)) == 3
     assert n_zero((), ()) == 0
-    with pytest.raises(ValueError):
-        n_zero((2,), (1,))
+    assert n_zero([3, 0], (1, 1, 1)) == 7 and n_similar([3], (1, 1, 1, 0), 7)
+    for call in (n_zero, lambda lam, mu: n_similar(lam, mu, 5), lambda lam, mu: hall_inner(lam, mu, 5)):
+        for lam, mu in (((2,), (1,)), ((1, 2), (2, 1)), ((2, 1), None), ((3,), (1, 1, 1.0))):
+            with pytest.raises(ValueError):
+                call(lam, mu)
 
 
 def test_hall_positive_implies_similar():

@@ -65,6 +65,9 @@ def test_ring_operations():
     for i, nvars in ((5, 2), (2, 2), (-1, 2), (0, 0)):
         with pytest.raises(ValueError):
             SparsePoly.variable(i, nvars)
+    for c in (1.5, True, None):  # a scale factor is an integer coefficient too
+        with pytest.raises(ValueError):
+            one.scale(c)
 
 
 def test_poly_json_round_trip():
@@ -143,6 +146,13 @@ def test_values_are_immutable():
         f.terms = {}
     assert f == ssot_poly((2, 1), 5, 3) and hash(f) == hash(ssot_poly((2, 1), 5, 3))
     assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+
+
+def test_trusted_builder_drops_zero_coefficients():
+    # _of is the one builder a polynomial writes itself: it makes the constructor's canonical form
+    terms = {(1, 0): 0, (0, 1): 2}
+    f = SparsePoly._of(2, terms)
+    assert f == SparsePoly(2, terms) and hash(f) == hash(SparsePoly(2, terms)) and dict(f.terms) == {(0, 1): 2}
 
 
 def test_ssot_poly_examples():

@@ -204,6 +204,35 @@ def test_v_set_members_contain_lambda():
                     assert all(nu[i] >= (lam[i] if i < len(lam) else 0) for i in range(len(lam)))
 
 
+def v_set_by_all_even_strips(lam, n):
+    """Breadth-first closure over vertical strips of every even size, the oracle of ``v_set``."""
+    if not in_N(lam, n):
+        return ()
+    seen, frontier = {lam}, [lam]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for size in range(2, n - sum(mu) + 1, 2):
+                for nu in vertical_strip_additions(mu, size):
+                    if nu not in seen:
+                        seen.add(nu)
+                        new.append(nu)
+        frontier = new
+    return tuple(sorted((nu for nu in seen if sum(nu) == n), reverse=True))
+
+
+def test_v_set_two_box_strips_match_all_even_strips():
+    # an even vertical strip is a chain of two-box ones, so v_set adds only those
+    cases = 0
+    for m in range(7):
+        for lam in partitions_of(m):
+            for n in range(m, m + 13):
+                _v_set.cache_clear()
+                assert v_set(lam, n) == v_set_by_all_even_strips(lam, n), (lam, n)
+                cases += 1
+    assert cases == 390
+
+
 def test_lambda_bar():
     assert lambda_bar((2, 1), 5) == (3, 2)
     assert lambda_bar((3,), 7) == (5, 2)

@@ -235,6 +235,9 @@ def test_is_reverse_yamanouchi():
     assert is_reverse_yamanouchi((2, 1))
     assert not is_reverse_yamanouchi((1, 2))
     assert is_reverse_yamanouchi(())
+    for word in ((-1,), (0,), (1, 0), (2, 1, 1.0), (True,), ("a",), None):
+        with pytest.raises(ValueError):
+            is_reverse_yamanouchi(word)
 
 
 def test_lr_coefficient():
@@ -325,3 +328,7 @@ def test_syt_counts_match_hook_formula_values():
     assert sum(1 for _ in enumerate_syt((3, 2))) == 5
     assert sum(1 for _ in enumerate_syt((2, 2))) == 2
     assert sum(1 for _ in enumerate_syt(())) == 1
+    assert list(enumerate_syt([2, 1, 0])) == list(enumerate_syt((2, 1)))
+    for lam in ((1, 2), None, (2, -1), (1.0,), (True,)):
+        with pytest.raises(ValueError):
+            list(enumerate_syt(lam))

@@ -12,6 +12,7 @@ import oscitab  # noqa: F401  (loads every module, so every record class exists)
 from oscitab.analysis import LatticePolytopeCheck, SchurExpansion
 from oscitab.correspondences import SundaramPair, TwoRowArray
 from oscitab.oscillating import ADD, DELETE, SSOT, EventTrace, OscillatingTableau, Run
+from oscitab.polyring import SparsePoly, ssot_poly
 from oscitab.shapes import _Record
 
 # (class, fields, fields of an unequal instance, fields the constructor rejects)
@@ -71,6 +72,19 @@ CASES = [
         {"support": ((2, 0), (0, 2)), "polytope_points": ((2, 0), (0, 2)), "snp": True},
         [],
     ),
+    (
+        SparsePoly,
+        {"nvars": 2, "terms": MappingProxyType({(2, 0): 3, (1, 1): -1})},
+        {"nvars": 2, "terms": MappingProxyType({(2, 0): 3})},
+        [
+            {"nvars": 2.0, "terms": {}},
+            {"nvars": True, "terms": {(1,): 1}},
+            {"nvars": None, "terms": {}},
+            {"nvars": "3", "terms": {}},
+            {"nvars": 2, "terms": [1]},
+            {"nvars": 2, "terms": {5: 1}},
+        ],
+    ),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
@@ -93,7 +107,8 @@ def test_record_value_semantics(cls, fields, other, bad):
         if case[0] is not cls:
             assert value != case[0](**case[1])
             assert value.__eq__(case[0](**case[1])) is NotImplemented
-    assert repr(value) == f"{cls.__name__}({', '.join(f'{name}={v!r}' for name, v in fields.items())})"
+    if cls is not SparsePoly:  # a polynomial prints as its terms
+        assert repr(value) == f"{cls.__name__}({', '.join(f'{name}={v!r}' for name, v in fields.items())})"
     with pytest.raises(TypeError):  # a field too many
         cls(*fields.values(), None)
     with pytest.raises(TypeError):  # the first field missing
@@ -142,8 +157,22 @@ def records(cls=_Record):
 
 
 def test_every_record_is_tested_and_keeps_the_one_value_model():
-    # every record of the package is in CASES, and none writes its own equality, hash or trusted builder
+    # every record of the package is in CASES, and none writes its own equality, hash, pickling or trusted builder
     assert set(records()) == {case[0] for case in CASES}
     for cls in records():
-        own = {"__eq__", "__hash__", "_of"} & set(vars(cls))
-        assert own == ({"__hash__"} if cls is SchurExpansion else set()), cls  # a mappingproxy is not hashable
+        own = {"__eq__", "__hash__", "__reduce__", "_of"} & set(vars(cls))
+        assert own == ({"_of"} if cls is SparsePoly else set()), cls  # a polynomial drops its zero coefficients
+
+
+def test_polynomial_attributes_are_read_only():
+    f = ssot_poly((2, 1), 5, 3)
+    terms, key = dict(f.terms), hash(f)
+    for name in ("nvars", "terms", "_nvars", "_terms", "__dict__", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, {})
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    for name in ("_nvars", "_terms", "extra"):  # the fields are the only storage: no slot or dict behind them
+        with pytest.raises(AttributeError):
+            object.__setattr__(f, name, {})
+    assert f.terms == terms and hash(f) == key and f == ssot_poly((2, 1), 5, 3)

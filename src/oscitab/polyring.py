@@ -64,13 +64,13 @@ class SparsePoly(_Record):
 
     @classmethod
     def monomial(cls, exp, coef: int = 1) -> "SparsePoly":
-        exp = tuple(exp)
+        exp = _tuple_of(exp, "exponent vector")
         return cls(len(exp), {exp: coef})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "SparsePoly":
         """The variable ``x_{i+1}``, for ``i`` in ``0..nvars-1``."""
-        if not 0 <= i < nvars:
+        if type(i) is not int or not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: 1})
@@ -126,7 +126,7 @@ class SparsePoly(_Record):
         return len(degrees) <= 1
 
     def evaluate(self, point) -> int:
-        point = tuple(point)
+        point = _tuple_of(point, "point")
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = 0
@@ -138,7 +138,7 @@ class SparsePoly(_Record):
         return total
 
     def coefficient(self, exp) -> int:
-        return self.terms.get(tuple(exp), 0)
+        return self.terms.get(_tuple_of(exp, "exponent vector"), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in graded-lex descending order."""

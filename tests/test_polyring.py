@@ -62,12 +62,15 @@ def test_ring_operations():
         with pytest.raises(ValueError):
             SparsePoly(nvars, terms)
     assert SparsePoly.variable(1, 3) == poly_from_pairs(3, {(0, 1, 0): 1})
-    for i, nvars in ((5, 2), (2, 2), (-1, 2), (0, 0)):
+    for i, nvars in ((5, 2), (2, 2), (-1, 2), (0, 0), (0.5, 2), (True, 2)):
         with pytest.raises(ValueError):
             SparsePoly.variable(i, nvars)
     for c in (1.5, True, None):  # a scale factor is an integer coefficient too
         with pytest.raises(ValueError):
             one.scale(c)
+    for call in (SparsePoly.monomial, one.coefficient, one.evaluate):  # input that is not a tuple
+        with pytest.raises(ValueError):
+            call(5)
 
 
 def test_poly_json_round_trip():

@@ -113,17 +113,15 @@ _QYOT_ROW = '[\n          "%s"\n        ]'
 def _listed_qyot(lam: Partition, n: int, k: int, limit):
     """The tableaux of ``enumerate-qyot``, at most ``limit`` of them, one pass over the walk.
 
-    Yields the walk's chain, kinds and descents, then the box rows, the run
-    and the descent composition.  Letter ``i`` labels the ``i``-th run
-    between descents.  The box rows are built as ``render_boxes`` builds
-    them, and the run is the letters with a bar at each descent, as ``Run``
-    prints it.  The query must have been checked.
+    Yields each tableau's steps, box rows, run and descent composition.  The
+    box rows are built as ``render_boxes`` builds them, and the run is the
+    letters with a bar at each descent, as ``Run`` prints it.  The query
+    must have been checked.
     """
-    for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
+    for steps, letters, boxes, _, des in islice(oscillating._qyots(lam, n, k), limit):
         comp = descent_composition(des, n)
-        rows = oscillating._box_rows(oscillating._block_letters(n, des), boxes)
         run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
-        yield chain, kinds, des, rows, run, comp
+        yield steps, oscillating._box_rows(letters, boxes), run, comp
 
 
 def cmd_enumerate_qyot(args) -> None:
@@ -134,7 +132,7 @@ def cmd_enumerate_qyot(args) -> None:
     listed = _listed_qyot(lam, args.n, args.k, args.limit)
     if not args.json:
         print(f"{count} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
-        for _, _, _, rows, run, _ in listed:
+        for _, rows, run, _ in listed:
             print(f"{fmt_tableau(rows):<32} {run}")
         return
     shapes: dict[Partition, str] = {}  # each partition's text at the indent of "deleted" and "reached"
@@ -144,8 +142,7 @@ def cmd_enumerate_qyot(args) -> None:
 
     text = _dumps({"partition": list(lam), "length": args.n, "max_step": args.k, "count": count, "tableaux": []})
     separator = text[: -len("[]\n}")] + "["  # the tableaux come last, so their empty list ends the text
-    for chain, kinds, des, rows, run, comp in listed:
-        steps = oscillating._steps(chain, oscillating._deletions(kinds), (*des, args.n))
+    for steps, rows, run, comp in listed:
         sys.stdout.write(
             separator
             + _QYOT_ITEM

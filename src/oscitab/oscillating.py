@@ -11,7 +11,7 @@ additions left-to-right.
 from bisect import bisect_right
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from .shapes import (
     Box,
@@ -21,7 +21,6 @@ from .shapes import (
     _tuple_of,
     _weak_refinements,
     add_box,
-    addable_boxes,
     check_partition,
     check_shape_query,
     in_N,
@@ -29,7 +28,6 @@ from .shapes import (
     is_partition,
     northeast,
     remove_box,
-    removable_boxes,
 )
 
 ADD = "add"
@@ -46,10 +44,8 @@ class OscillatingTableau(_Record):
         chain = _tuple_of(chain, "chain of partitions", tuple)
         if not chain or chain[0] != ():
             raise ValueError("an oscillating tableau starts at the empty shape")
-        for j in range(len(chain) - 1):
-            a, b = chain[j], chain[j + 1]
-            moves = [add_box(a, x) for x in addable_boxes(a)] + [remove_box(a, x) for x in removable_boxes(a)]
-            if not (is_partition(b) and b in moves):  # is_partition rejects float and bool parts
+        for j, (a, b) in enumerate(pairwise(chain)):
+            if not (is_partition(b) and _move(a, b)):  # is_partition rejects float and bool parts
                 raise ValueError(f"chain step {j} does not change exactly one box")
         super().__init__(chain)
 
@@ -186,24 +182,8 @@ def substep_events(S: SSOT) -> EventTrace:
 
 def ot_events(O: OscillatingTableau) -> EventTrace:
     """Event list of an oscillating tableau; the profile is 1..n."""
-    boxes: list[Box] = []
-    kinds: list[str] = []
-    for j in range(O.length):
-        a, b = O.chain[j], O.chain[j + 1]
-        if sum(b) > sum(a):
-            kinds.append(ADD)
-            boxes.append(_box_diff(a, b))
-        else:
-            kinds.append(DELETE)
-            boxes.append(_box_diff(b, a))
-    return EventTrace._of(tuple(range(1, O.length + 1)), tuple(boxes), tuple(kinds))
-
-
-def _box_diff(small: Partition, big: Partition) -> Box:
-    for i in range(len(big)):
-        if big[i] != (small[i] if i < len(small) else 0):
-            return (i + 1, big[i])
-    raise ValueError("shapes are equal")
+    kinds, boxes = tuple(zip(*(_move(a, b) for a, b in pairwise(O.chain)))) or ((), ())
+    return EventTrace._of(tuple(range(1, O.length + 1)), boxes, kinds)
 
 
 def replay_events(boxes, kinds) -> tuple[Partition, ...]:
@@ -274,7 +254,7 @@ def standardize(S: SSOT) -> OscillatingTableau:
     if not isinstance(S, SSOT):
         raise ValueError(f"expected an SSOT, got {type(S).__name__}")
     events = substep_events(S)
-    return OscillatingTableau(replay_events(events.boxes, events.kinds))
+    return OscillatingTableau._of(replay_events(events.boxes, events.kinds))
 
 
 def _int_pair(box) -> Box:
@@ -309,22 +289,11 @@ def ssot_from_events(profile, boxes, kinds) -> SSOT:
     return SSOT._of(steps)
 
 
-def _block_letters(length: int, des) -> list[int]:
-    """Letters 1, 2, ... for ``length`` steps, one higher after each descent position."""
-    letters = []
-    block = 1
-    for j in range(1, length + 1):
-        letters.append(block)
-        if j in des:
-            block += 1
-    return letters
-
-
 def destandardize(S: SSOT) -> SSOT:
     """The unique quasi-Yamanouchi tableau with the same standardization."""
     events = substep_events(S)
-    letters = _block_letters(len(events), set(descent_positions(events)))
-    return ssot_from_events(letters, events.boxes, events.kinds)
+    chain = replay_events(events.boxes, events.kinds)
+    return SSOT._of(_qyot_steps(chain, events.kinds, descent_positions(events)))
 
 
 def com(S: SSOT) -> Composition:
@@ -388,6 +357,11 @@ def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Part
             nxt = shape[:r] + (c + 1,) + shape[r + 1:]
             out.append((ADD, (r + 1, c + 1), nxt, dist - 1 if c < cap[r] else dist + 1))
     return out
+
+
+def _move(a: Partition, b: Partition) -> tuple[str, Box] | None:
+    """Kind and box of the event from ``a`` to ``b``, read off ``one_box_moves``; None if there is none."""
+    return next(((kind, box) for kind, box, nxt, _ in one_box_moves(a, ()) if nxt == b), None)
 
 
 class _Table(dict):
@@ -499,6 +473,23 @@ def _deletions(kinds) -> list[int]:
     return list(accumulate((kind == DELETE for kind in kinds), initial=0))
 
 
+def _qyot_steps(chain, kinds, des) -> tuple[tuple[Partition, Partition], ...]:
+    """Steps of the quasi-Yamanouchi SSOT of an OT: step ``i`` holds the ``i``-th run between the descents ``des``."""
+    return _steps(chain, _deletions(kinds), (*des, len(kinds)))
+
+
+def _qyots(lam: Partition, n: int, max_step: int):
+    """Per OT of the walk, its quasi-Yamanouchi SSOT as ``(steps, letters, boxes, kinds, des)``.
+
+    ``letters`` labels each event by its step, 1 up to the first descent,
+    then one higher after each; ``des`` are the OT's descent positions.  The
+    query must have been checked.
+    """
+    for chain, boxes, kinds, des in _walk(lam, n, max_step):
+        letters = tuple(u for u, size in enumerate(descent_composition(des, n), 1) for _ in range(size))
+        yield _qyot_steps(chain, kinds, des), letters, boxes, kinds, des
+
+
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     """All oscillating tableaux of the given shape and length, in a fixed order.
 
@@ -540,13 +531,10 @@ def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, Eve
     at the call, before anything is listed.
     """
     lam = check_tableau_query(lam, n, max_step, "max_step")
-
-    def walk():
-        for chain, boxes, kinds, des in _walk(lam, n, max_step):
-            Q = SSOT._of(_steps(chain, _deletions(kinds), (*des, n)))
-            yield Q, EventTrace._of(tuple(_block_letters(n, des)), boxes, kinds), des
-
-    return walk()
+    return (
+        (SSOT._of(steps), EventTrace._of(letters, boxes, kinds), des)
+        for steps, letters, boxes, kinds, des in _qyots(lam, n, max_step)
+    )
 
 
 def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
@@ -556,7 +544,8 @@ def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
     descents.  One walk lists the OTs and their descents, skipping those
     with more than ``max_step`` runs.
     """
-    return [Q for Q, _, _ in walk_qyot(lam, n, max_step)]
+    lam = check_tableau_query(lam, n, max_step, "max_step")
+    return [SSOT._of(steps) for steps, _, _, _, _ in _qyots(lam, n, max_step)]
 
 
 def render_boxes(x) -> list[list[str]]:

@@ -227,14 +227,11 @@ def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
 def schur_poly(lam: Partition, k: int) -> SparsePoly:
     """Generating polynomial of the SSYT of shape ``lam`` with entries <= k.
 
-    Gessel's expansion ``s_lam = sum_{T in SYT(lam)} F_{des T}``, with the
-    SYT counted by descent composition as the OTs of length ``|lam|``, which
-    add a box at every step.
+    An SSYT is an SSOT of length ``|lam|``, which adds a box at every step:
+    Gessel's expansion ``s_lam = sum_{T in SYT(lam)} F_{des T}``.
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer at least 1, got {k!r}")
     lam = check_partition(trim(lam))
-    return _from_f_coefficients(_descent_counts(lam, sum(lam), k), k)
+    return ssot_poly(lam, sum(lam), k)
 
 
 def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:

@@ -21,6 +21,7 @@ from types import MappingProxyType
 from .shapes import (
     Partition,
     _Record,
+    _check_instance,
     _weak_refinements,
     check_in_N,
     check_partition,
@@ -267,9 +268,7 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     (Rado's theorem).  Any other support falls back to one exact phase-one
     simplex (``in_convex_hull``) per candidate lattice point.
     """
-    if not isinstance(f, SparsePoly):
-        raise ValueError(f"expected a SparsePoly, got {type(f).__name__}")
-    if f.is_zero():
+    if _check_instance(f, SparsePoly, "a SparsePoly").is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = sorted(f.terms)
     homogeneous = f.is_homogeneous()

@@ -11,7 +11,7 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 
-from .shapes import Box, Partition, _Record, _tuple_of, conjugate
+from .shapes import Box, Partition, _Record, _check_instance, _tuple_of, conjugate
 from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
     Tableau,
@@ -91,14 +91,14 @@ def _symmetrized(pairs: tuple[Pair, ...]) -> list[Pair]:
 
 def symmetrize(L: TwoRowArray) -> TwoRowArray:
     """Each pair together with its mirror, rearranged lexicographically."""
-    if not L.is_lexicographic():
+    if not _check_instance(L, TwoRowArray, "a TwoRowArray").is_lexicographic():
         raise ValueError("symmetrization needs a lexicographic array")
     return TwoRowArray._of(tuple(_symmetrized(L.pairs)))
 
 
 def burge_map(L: TwoRowArray) -> Tableau:
     """Insertion tableau of the bottom word of the symmetrized array."""
-    if not L.is_burge():
+    if not _check_instance(L, TwoRowArray, "a TwoRowArray").is_burge():
         raise ValueError("the Burge correspondence needs a Burge array")
     rows: list[list[int]] = []
     for _, b in _symmetrized(L.pairs):  # the constructor checked every entry
@@ -114,9 +114,7 @@ class SundaramPair(_Record):
     tableau: Tableau
 
     def __init__(self, burge, tableau):
-        if not isinstance(burge, TwoRowArray):
-            raise ValueError(f"a Sundaram pair needs a TwoRowArray, got {type(burge).__name__}")
-        super().__init__(burge, check_tableau(tableau))
+        super().__init__(_check_instance(burge, TwoRowArray, "a TwoRowArray"), check_tableau(tableau))
 
     def length(self) -> int:
         return 2 * len(self.burge) + sum(tableau_shape(self.tableau))
@@ -163,9 +161,7 @@ def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple
 
     Yields ``(m, letter, kind, box)`` after each substep.
     """
-    if not isinstance(S, SSOT):
-        raise ValueError(f"expected an SSOT, got {type(S).__name__}")
-    for m, (u, box, kind) in enumerate(_step_events(S.steps), 1):
+    for m, (u, box, kind) in enumerate(_step_events(_check_instance(S, SSOT, "an SSOT").steps), 1):
         if kind == ADD:
             _place_entry(cols, box, u)
         else:
@@ -217,7 +213,7 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     that the walk removes or a box that column insertion adds, so each
     event fits its shape.
     """
-    if not pair.burge.is_burge():
+    if not _check_instance(pair, SundaramPair, "a SundaramPair").burge.is_burge():
         raise ValueError("not a Burge array")
     T = pair.tableau  # checked when the pair was built
     cols = _columns(T)

@@ -18,6 +18,7 @@ from .shapes import (
     Composition,
     Partition,
     _Record,
+    _check_instance,
     _tuple_of,
     _weak_refinements,
     add_box,
@@ -176,12 +177,14 @@ def _step_events(steps) -> Iterator[tuple[int, Box, str]]:
 
 def substep_events(S: SSOT) -> EventTrace:
     """Event list of an SSOT: per step, deletions right-to-left then additions left-to-right."""
+    _check_instance(S, SSOT, "an SSOT")
     profile, boxes, kinds = tuple(zip(*_step_events(S.steps))) or ((), (), ())
     return EventTrace._of(profile, boxes, kinds)
 
 
 def ot_events(O: OscillatingTableau) -> EventTrace:
     """Event list of an oscillating tableau; the profile is 1..n."""
+    _check_instance(O, OscillatingTableau, "an OscillatingTableau")
     kinds, boxes = tuple(zip(*(_move(a, b) for a, b in pairwise(O.chain)))) or ((), ())
     return EventTrace._of(tuple(range(1, O.length + 1)), boxes, kinds)
 
@@ -226,6 +229,7 @@ def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
 
 def descent_positions(events: EventTrace) -> tuple[int, ...]:
     """Positions j where a new step must start between events j and j+1."""
+    _check_instance(events, EventTrace, "an EventTrace")
     boxes, kinds = events.boxes, events.kinds
     out = []
     for j in range(1, len(boxes)):
@@ -251,8 +255,6 @@ def descent_data(x) -> tuple[frozenset[int], Composition, int]:
 
 def standardize(S: SSOT) -> OscillatingTableau:
     """Replace the j-th letter by j: the underlying oscillating tableau."""
-    if not isinstance(S, SSOT):
-        raise ValueError(f"expected an SSOT, got {type(S).__name__}")
     events = substep_events(S)
     return OscillatingTableau._of(replay_events(events.boxes, events.kinds))
 
@@ -301,7 +303,7 @@ def com(S: SSOT) -> Composition:
 
     The last step changes the shape, so the largest letter is the step count.
     """
-    return tuple(_step_sizes(S.steps))
+    return tuple(_step_sizes(_check_instance(S, SSOT, "an SSOT").steps))
 
 
 def is_quasi_yamanouchi(S: SSOT) -> bool:
@@ -569,11 +571,8 @@ def _box_rows(letters, boxes) -> list[list[str]]:
 
 
 def ssot_to_dict(S: SSOT) -> dict:
-    return {
-        "steps": [
-            {"deleted": list(d), "reached": list(r)} for d, r in S.steps
-        ]
-    }
+    steps = _check_instance(S, SSOT, "an SSOT").steps
+    return {"steps": [{"deleted": list(d), "reached": list(r)} for d, r in steps]}
 
 
 def _shape_entry(entry) -> Partition:

@@ -8,8 +8,8 @@ from itertools import combinations
 from math import factorial
 from types import MappingProxyType
 
-from .shapes import Composition, Partition, _Record, _tuple_of, _weak_refinements, check_partition, in_N
-from .shapes import is_strong, partitions_of, trim
+from .shapes import Composition, Partition, _Record, _check_instance, _tuple_of, _weak_refinements
+from .shapes import check_partition, in_N, is_strong, partitions_of, trim
 from .tableaux import lr_product
 from .oscillating import _transitions, check_tableau_query
 
@@ -342,7 +342,7 @@ def is_symmetric(f: SparsePoly) -> bool:
     of ``f``, and fill them exactly when the orbit sizes add up to the
     number of terms.
     """
-    terms = f.terms
+    terms = _check_instance(f, SparsePoly, "a SparsePoly").terms
     size = 0
     for exp, coef in terms.items():
         top = tuple(sorted(exp, reverse=True))
@@ -370,9 +370,7 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
     the c_nu K(nu, mu) of the nu found before.  K(., mu) is h_mu in the Schur
     basis: one ``lr_product`` Pieri strip per part of mu.
     """
-    if not isinstance(f, SparsePoly):
-        raise ValueError(f"expected a SparsePoly, got {type(f).__name__}")
-    if f.is_zero():
+    if _check_instance(f, SparsePoly, "a SparsePoly").is_zero():
         return {}
     if not f.is_homogeneous():
         raise ValueError("schur expansion needs a homogeneous polynomial")

@@ -112,6 +112,13 @@ def _tuple_of(items, what: str, convert=None) -> tuple:
         raise ValueError(f"malformed {what}: {items!r}") from None
 
 
+def _check_instance(value, cls, what: str):
+    """``value`` itself; ``ValueError`` naming ``what`` unless it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
 def check_partition(parts) -> Partition:
     """``parts`` as a tuple; ``ValueError`` unless it is a partition, with no zero parts."""
     lam = parts if type(parts) is tuple else _tuple_of(parts, "partition")
@@ -133,7 +140,8 @@ def contains(inner: Partition, outer: Partition) -> bool:
 
 
 def conjugate(lam: Partition) -> Partition:
-    """Transpose of the diagram: column lengths read left to right."""
+    """Transpose of the diagram: column lengths read left to right; ``ValueError`` for a non-partition."""
+    lam = check_partition(trim(lam))
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
@@ -237,7 +245,8 @@ def _weak_refinements(a, k: int) -> list[Composition]:
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """Dominance comparison: every prefix sum of ``mu`` is at most that of ``lam``."""
+    """Dominance comparison: every prefix sum of ``mu`` is at most that of ``lam``; both must be partitions."""
+    mu, lam = check_partition(trim(mu)), check_partition(trim(lam))
     if sum(mu) != sum(lam):
         raise ValueError(f"dominance needs equal sizes, got {sum(mu)} and {sum(lam)}")
     acc_mu = acc_lam = 0

@@ -207,8 +207,8 @@ def superstandard(lam: Partition) -> Tableau:
 
 
 def is_standard(T: Tableau) -> bool:
-    entries = sorted(x for row in T for x in row)
-    return is_semistandard(T) and entries == list(range(1, len(entries) + 1))
+    """True if ``T`` is a semistandard tableau whose entries are 1, 2, ..., n, each once."""
+    return is_semistandard(T) and sorted(x for row in T for x in row) == list(range(1, sum(map(len, T)) + 1))
 
 
 def _entry_positions(T: Tableau) -> dict[int, Box]:
@@ -261,6 +261,8 @@ def is_reverse_yamanouchi(word) -> bool:
 def ssyt_of_shape(lam: Partition, max_entry: int):
     """Yield all semistandard tableaux of shape ``lam`` with entries <= max_entry."""
     lam = check_partition(trim(lam))
+    if type(max_entry) is not int or max_entry < 0:
+        raise ValueError(f"max_entry must be a nonnegative integer, got {max_entry!r}")
     if len(lam) > max_entry:
         return
     rows: list[list[int]] = []

@@ -14,6 +14,7 @@ from oscitab.oscillating import (
     SSOT,
     com,
     descent_data,
+    descent_positions,
     destandardize,
     enumerate_ot,
     enumerate_qyot,
@@ -179,8 +180,6 @@ def test_one_box_moves_match_reference():
 
 
 def test_listings_match_reference_enumeration():
-    from oscitab.oscillating import descent_positions
-
     for m in range(5):
         for lam in partitions_of(m):
             for n in range(9):
@@ -222,6 +221,10 @@ def test_trusted_tableaux_pass_public_constructors():
                     for S in enumerate_ssot(lam, n, k) + enumerate_qyot(lam, n, k):
                         assert SSOT(S.steps) == S
                         assert destandardize(S) == SSOT(destandardize(S).steps)
+                        # the events relabelled by run and rebuilt through the checking ssot_from_events
+                        events = substep_events(S)
+                        letters = reference_block_letters(len(events), descent_positions(events))
+                        assert destandardize(S) == validated_ssot(letters, events), S
 
 
 # ---- construction and validation --------------------------------------------
@@ -251,6 +254,50 @@ def test_ot_validation():
             OscillatingTableau(chain)
     O = OscillatingTableau(((), (1,), (1, 1)))
     assert O.shape == (1, 1) and O.length == 2
+
+
+def step_mutations(a, b):
+    """Shapes that cannot follow ``a`` where ``b`` does: two boxes off, ``a`` again, a trailing zero, non-int parts."""
+    yield add_box(b, addable_boxes(b)[0])
+    yield a
+    yield b + (0,)
+    if b:
+        yield (float(b[0]),) + b[1:]
+    if b and b[-1] == 1:
+        yield b[:-1] + (True,)
+
+
+def test_ot_constructor_accepts_every_reference_chain_and_rejects_step_mutations():
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 9, 2):
+                for O in reference_ots(lam, n):
+                    chain = O.chain
+                    assert OscillatingTableau(list(chain)) == O
+                    for j in range(O.length if n <= 6 else 0):  # mutations up to length 6
+                        for bad in step_mutations(chain[j], chain[j + 1]):
+                            with pytest.raises(ValueError, match=f"chain step {j} "):
+                                OscillatingTableau(chain[: j + 1] + (bad,) + chain[j + 2:])
+
+
+def reference_ot_events(O):
+    # each step's box found among the removable and addable boxes of the shape before it
+    kinds, boxes = [], []
+    for a, b in zip(O.chain, O.chain[1:]):
+        moves = [(DELETE, x) for x in removable_boxes(a) if remove_box(a, x) == b]
+        moves += [(ADD, x) for x in addable_boxes(a) if add_box(a, x) == b]
+        ((kind, box),) = moves
+        kinds.append(kind)
+        boxes.append(box)
+    return EventTrace(tuple(range(1, O.length + 1)), tuple(boxes), tuple(kinds))
+
+
+def test_ot_events_match_reference_diff():
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 9, 2):
+                for O in reference_ots(lam, n):
+                    assert ot_events(O) == reference_ot_events(O), O
 
 
 def test_substep_events_paper_example():

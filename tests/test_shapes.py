@@ -54,6 +54,10 @@ def test_conjugate():
     assert conjugate((3, 1)) == (2, 1, 1)
     assert conjugate((2, 2, 1, 1)) == (4, 2)
     assert conjugate(()) == ()
+    assert conjugate((2, 1, 0)) == (2, 1)
+    for bad in ((1, 2), (2, -1), (1.5,), (True,), None):
+        with pytest.raises(ValueError):
+            conjugate(bad)
 
 
 def test_conjugate_involution():
@@ -146,6 +150,9 @@ def test_dominance():
     assert dominance_leq((2, 2), (2, 2))
     with pytest.raises(ValueError):
         dominance_leq((2,), (2, 1))
+    for mu, lam in (((1, 2), (3,)), ((3,), (1, 2)), ((2, 0, 1), (3,)), ((1.5, 1.5), (3,))):
+        with pytest.raises(ValueError):
+            dominance_leq(mu, lam)
 
 
 def test_strips():

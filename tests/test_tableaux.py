@@ -299,6 +299,10 @@ def test_bands_descents():
     assert des_syt(((1,), (2,), (3,))) == (1, 1, 1)
     with pytest.raises(ValueError):
         des_syt(((1, 1), (2,)))
+    for bad in (None, 5, ((0,),), ((1, 2), (3, 4, 5)), ((2,), (1,))):
+        for descents in (des_syt, step_syt, standard_horizontal_bands):
+            with pytest.raises(ValueError):
+                descents(bad)
 
 
 def test_des_sums_to_size():
@@ -322,6 +326,10 @@ def test_ssyt_enumeration_count():
     assert list(ssyt_of_shape((1, 1, 1), 2)) == []
     with pytest.raises(ValueError):
         list(ssyt_of_shape((1, 2), 3))
+    assert list(ssyt_of_shape((1,), 0)) == [] and list(ssyt_of_shape((), 0)) == [EMPTY]
+    for max_entry in (1.5, None, -1, True, "3"):
+        with pytest.raises(ValueError):
+            list(ssyt_of_shape((1,), max_entry))
 
 
 def test_syt_counts_match_hook_formula_values():

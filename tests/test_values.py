@@ -9,9 +9,10 @@ from types import MappingProxyType
 import pytest
 
 import oscitab  # noqa: F401  (loads every module, so every record class exists)
+from oscitab import analysis, correspondences, oscillating, polyring
 from oscitab.analysis import LatticePolytopeCheck, SchurExpansion
-from oscitab.correspondences import SundaramPair, TwoRowArray
-from oscitab.oscillating import ADD, DELETE, SSOT, EventTrace, OscillatingTableau, Run
+from oscitab.correspondences import EMPTY_ARRAY, SundaramPair, TwoRowArray
+from oscitab.oscillating import ADD, DELETE, EMPTY_SSOT, SSOT, EventTrace, OscillatingTableau, Run
 from oscitab.polyring import SparsePoly, ssot_poly
 from oscitab.shapes import _Record
 
@@ -176,3 +177,29 @@ def test_polynomial_attributes_are_read_only():
         with pytest.raises(AttributeError):
             object.__setattr__(f, name, {})
     assert f.terms == terms and hash(f) == key and f == ssot_poly((2, 1), 5, 3)
+
+
+# functions that take a record, each with a record of another class
+TAKES_A_RECORD = [
+    (oscillating.substep_events, EMPTY_ARRAY),
+    (oscillating.ot_events, EMPTY_SSOT),
+    (oscillating.com, OscillatingTableau(((),))),
+    (oscillating.destandardize, EMPTY_ARRAY),
+    (oscillating.standardize, EMPTY_ARRAY),
+    (oscillating.descent_positions, EMPTY_SSOT),
+    (oscillating.ssot_to_dict, EMPTY_ARRAY),
+    (correspondences.symmetrize, EMPTY_SSOT),
+    (correspondences.burge_map, EMPTY_SSOT),
+    (correspondences.sundaram, EMPTY_ARRAY),
+    (correspondences.sundaram_inverse, EMPTY_ARRAY),
+    (polyring.is_symmetric, EMPTY_SSOT),
+    (polyring.schur_expand, EMPTY_SSOT),
+    (analysis.has_snp, EMPTY_SSOT),
+]
+
+
+@pytest.mark.parametrize("fn,wrong_record", TAKES_A_RECORD, ids=[fn.__name__ for fn, _ in TAKES_A_RECORD])
+def test_functions_that_take_a_record_reject_anything_else(fn, wrong_record):
+    for value in (None, (), [((), (1,))], {"steps": []}, wrong_record):
+        with pytest.raises(ValueError, match="^expected "):
+            fn(value)

@@ -113,10 +113,9 @@ _QYOT_ROW = '[\n          "%s"\n        ]'
 def _listed_qyot(lam: Partition, n: int, k: int, limit):
     """The tableaux of ``enumerate-qyot``, at most ``limit`` of them, one pass over the walk.
 
-    Yields each tableau's steps, box rows, run and descent composition.  The
-    box rows are built as ``render_boxes`` builds them, and the run is the
-    letters with a bar at each descent, as ``Run`` prints it.  The query
-    must have been checked.
+    Yields each tableau's steps, box rows (as ``render_boxes`` builds them),
+    run (the letters with a bar at each descent, as ``Run`` prints it) and
+    descent composition.  The query must have been checked.
     """
     for steps, letters, boxes, _, des in islice(oscillating._qyots(lam, n, k), limit):
         comp = descent_composition(des, n)

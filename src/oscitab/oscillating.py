@@ -483,12 +483,14 @@ def _qyot_steps(chain, kinds, des) -> tuple[tuple[Partition, Partition], ...]:
 def _qyots(lam: Partition, n: int, max_step: int):
     """Per OT of the walk, its quasi-Yamanouchi SSOT as ``(steps, letters, boxes, kinds, des)``.
 
-    ``letters`` labels each event by its step, 1 up to the first descent,
-    then one higher after each; ``des`` are the OT's descent positions.  The
-    query must have been checked.
+    ``letters`` labels each event by its step, one higher after each of the
+    OT's descent positions ``des``.  The query must have been checked.
     """
     for chain, boxes, kinds, des in _walk(lam, n, max_step):
-        letters = tuple(u for u, size in enumerate(descent_composition(des, n), 1) for _ in range(size))
+        letters, u = [], 1
+        for j in range(1, n + 1):
+            letters.append(u)
+            u += j in des  # the next event starts a new step
         yield _qyot_steps(chain, kinds, des), letters, boxes, kinds, des
 
 
@@ -534,7 +536,7 @@ def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, Eve
     """
     lam = check_tableau_query(lam, n, max_step, "max_step")
     return (
-        (SSOT._of(steps), EventTrace._of(letters, boxes, kinds), des)
+        (SSOT._of(steps), EventTrace._of(tuple(letters), boxes, kinds), des)
         for steps, letters, boxes, kinds, des in _qyots(lam, n, max_step)
     )
 

@@ -257,7 +257,7 @@ def test_ot_validation():
 
 
 def step_mutations(a, b):
-    """Shapes that cannot follow ``a`` where ``b`` does: two boxes off, ``a`` again, a trailing zero, non-int parts."""
+    """Shapes that cannot follow ``a`` where ``b`` does: ``b`` plus a box, ``a`` again, a trailing zero, non-int parts."""
     yield add_box(b, addable_boxes(b)[0])
     yield a
     yield b + (0,)

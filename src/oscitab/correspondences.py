@@ -21,7 +21,6 @@ from .tableaux import (
     _from_columns,
     _row_insert,
     check_tableau,
-    tableau_shape,
 )
 
 Pair = tuple[int, int]
@@ -117,7 +116,7 @@ class SundaramPair(_Record):
         super().__init__(_check_instance(burge, TwoRowArray, "a TwoRowArray"), check_tableau(tableau))
 
     def length(self) -> int:
-        return 2 * len(self.burge) + sum(tableau_shape(self.tableau))
+        return 2 * len(self.burge) + sum(map(len, self.tableau))
 
     def content(self) -> Counter:
         c = self.burge.content()

@@ -190,17 +190,24 @@ def ot_events(O: OscillatingTableau) -> EventTrace:
 
 
 def replay_events(boxes, kinds) -> tuple[Partition, ...]:
-    """Partition chain traced by events, starting from the empty shape."""
+    """Partition chain traced by events, starting from the empty shape.
+
+    ``ValueError`` unless each event adds or deletes a box that is a pair of
+    integers and a corner of the shape it reaches.
+    """
     current: Partition = ()
     chain = [current]
-    for box, kind in zip(boxes, kinds):
-        if kind == ADD:
-            current = add_box(current, box)
-        elif kind == DELETE:
-            current = remove_box(current, box)
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-        chain.append(current)
+    try:
+        for box, kind in zip(boxes, kinds):
+            if kind == ADD:
+                current = add_box(current, box)
+            elif kind == DELETE:
+                current = remove_box(current, box)
+            else:
+                raise ValueError(f"unknown event kind {kind!r}")
+            chain.append(current)
+    except TypeError:
+        raise ValueError("malformed events: boxes and kinds must be sequences, each box a pair of integers") from None
     return tuple(chain)
 
 

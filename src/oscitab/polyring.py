@@ -10,7 +10,6 @@ from types import MappingProxyType
 
 from .shapes import Composition, Partition, _Record, _check_instance, _tuple_of, _weak_refinements
 from .shapes import check_partition, in_N, is_strong, partitions_of, trim
-from .tableaux import lr_product
 from .oscillating import _transitions, check_tableau_query
 
 
@@ -200,20 +199,6 @@ def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     return SparsePoly._of(k, terms)
 
 
-def _from_f_coefficients(coefficients: dict[Composition, int], k: int) -> SparsePoly:
-    """The polynomial ``sum_a c_a F_a(x_1..x_k)`` of F-coefficients ``{a: c_a}``.
-
-    F_a sums ``x^c`` over the weak compositions ``c`` of length ``k`` that
-    refine ``a``: the contents of the weakly increasing words in ``1..k`` that
-    strictly increase at the descents of ``a``.
-    """
-    terms: dict[tuple[int, ...], int] = {}
-    for a, coef in coefficients.items():
-        for exp in _weak_refinements(a, k):
-            terms[exp] = terms.get(exp, 0) + coef
-    return SparsePoly._of(k, terms)
-
-
 def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
     """Fundamental quasi-symmetric polynomial: the sum of ``M_b`` over all refinements ``b`` of ``a``."""
     if type(k) is not int or k < 0:
@@ -221,14 +206,16 @@ def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
     a = trim(a)
     if not is_strong(a):
         raise ValueError("fundamental quasi-symmetric functions are indexed by strong compositions")
-    return _from_f_coefficients({a: 1}, k)
+    # the weak compositions of length k that refine a: the contents of the
+    # weakly increasing words in 1..k that strictly increase at a's descents
+    return SparsePoly._of(k, dict.fromkeys(_weak_refinements(a, k), 1))
 
 
 def schur_poly(lam: Partition, k: int) -> SparsePoly:
     """Generating polynomial of the SSYT of shape ``lam`` with entries <= k.
 
-    An SSYT is an SSOT of length ``|lam|``, which adds a box at every step:
-    Gessel's expansion ``s_lam = sum_{T in SYT(lam)} F_{des T}``.
+    An SSYT is an SSOT of length ``|lam|``, which adds a box at every step,
+    so [x^mu] is the Kostka number K(lam, mu).
     """
     lam = check_partition(trim(lam))
     return ssot_poly(lam, sum(lam), k)
@@ -295,14 +282,85 @@ def _mask_composition(mask: int, n: int) -> Composition:
     return tuple(parts)
 
 
+def _weight_counts(lam: Partition, n: int, k: int) -> dict[Partition, int]:
+    """OTs of shape ``lam`` and length ``n`` whose descents all fall at partial sums of mu, per partition mu.
+
+    The partitions are those of ``n`` with at most ``k`` parts.  By Gessel's
+    rule the count at mu is [x^mu] ``ssot_poly``: relabelling an OT with the
+    letters of weight mu, in order, gives an SSOT exactly when its letters
+    step up at every descent.  The layer loop is the one of
+    ``_descent_counts`` on the same ``_transitions`` table, but a state
+    carries a plain count: the events of each part form a block, and only a
+    block's first event may descend.  The parts are chosen depth first,
+    weakly decreasing, and the layer after ``q`` events of a block serves the
+    part ``q`` and every longer one, so partitions with a common prefix share
+    its layers.  A branch ends when its layer is empty; a part is not tried
+    when the parts left, none larger, cannot make up ``n``.
+    """
+    if not in_N(lam, n):
+        return {}
+    if n == 0:
+        return {(): 1}
+    table = _transitions(lam)
+    out: dict[Partition, int] = {}
+    parts: list[int] = []
+
+    def extend(layer: dict, t: int) -> None:
+        # layer: the states after the t events of ``parts``, with their counts
+        rows = k - len(parts)
+        smallest = -(-(n - t) // rows)
+        for q in range(1, min(parts[-1] if parts else n, n - t) + 1):
+            left = n - t - q
+            nxt: dict = {}
+            for state, c in layer.items():
+                for target, descends, dist in table[state]:
+                    if dist <= left and (q == 1 or not descends):
+                        nxt[target] = nxt.get(target, 0) + c
+            if not nxt:
+                return
+            layer = nxt
+            if q >= smallest:
+                if left:
+                    parts.append(q)
+                    extend(layer, t + q)
+                    parts.pop()
+                else:
+                    out[(*parts, q)] = sum(layer.values())
+
+    extend({((), None, None): 1}, 0)
+    return out
+
+
+def _rearrangements(exp: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of ``exp``, which is weakly decreasing; memoised in ``memo`` by ``exp``."""
+    out = memo.get(exp)
+    if out is None:
+        if len(exp) < 2:
+            out = [exp]
+        else:
+            out = [
+                (v, *rest)
+                for i, v in enumerate(exp)
+                if i == 0 or exp[i - 1] != v
+                for rest in _rearrangements(exp[:i] + exp[i + 1:], memo)
+            ]
+        memo[exp] = out
+    return out
+
+
 def ssot_poly(lam: Partition, n: int, k: int) -> SparsePoly:
     """Generating polynomial of SSOTs of shape ``lam``, length ``n``, letters <= k.
 
-    Gessel's expansion: the sum of ``c_a F_a(x_1..x_k)`` over the descent
-    compositions ``a`` of the OTs, ``c_a`` of them each.
+    The polynomial is symmetric, so each partition mu of ``n`` with at most
+    ``k`` parts gives one count, [x^mu], written at every distinct
+    rearrangement of mu padded with zeros to length ``k``.
     """
     lam = check_tableau_query(lam, n, k, "k")
-    return _from_f_coefficients(_descent_counts(lam, n, k), k)
+    terms: dict[tuple[int, ...], int] = {}
+    memo: dict = {}
+    for mu, c in _weight_counts(lam, n, k).items():
+        terms.update(dict.fromkeys(_rearrangements(mu + (0,) * (k - len(mu)), memo), c))
+    return SparsePoly._of(k, terms)
 
 
 def f_expansion(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
@@ -367,8 +425,9 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
     The s_nu with at most ``nvars`` parts are a basis, and [x^mu] s_nu is the
     Kostka number K(nu, mu), unitriangular in dominance order (Stanley, EC2
     7.10-7.12).  So, lex-largest mu first, c_mu is f's coefficient at mu less
-    the c_nu K(nu, mu) of the nu found before.  K(., mu) is h_mu in the Schur
-    basis: one ``lr_product`` Pieri strip per part of mu.
+    the c_nu K(nu, mu) of the nu found before.  The row K(nu, .) of each nu
+    found is ``_weight_counts(nu, |nu|, nvars)``: an SSYT is an SSOT of
+    length ``|nu|``.
     """
     if _check_instance(f, SparsePoly, "a SparsePoly").is_zero():
         return {}
@@ -376,20 +435,15 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
         raise ValueError("schur expansion needs a homogeneous polynomial")
     if not is_symmetric(f):
         raise ValueError("schur expansion needs a symmetric polynomial")
+    nvars, d = f.nvars, f.degree()
     out: dict[Partition, int] = {}
-    for mu in partitions_of(f.degree()):
-        if len(mu) > f.nvars:
+    found: dict[Partition, int] = {}  # sum of c_nu K(nu, mu) over the nu found so far
+    for mu in partitions_of(d):
+        if len(mu) > nvars:
             continue
-        h_mu: dict[Partition, int] = {(): 1}  # K(nu, mu) at each nu
-        for part in mu:
-            folded: dict[Partition, int] = {}
-            for shape, a in h_mu.items():
-                for nu, b in lr_product(shape, (part,)).items():
-                    folded[nu] = folded.get(nu, 0) + a * b
-            h_mu = folded
-        # mu itself is not solved yet, so out.get skips it
-        c = f.coefficient(mu + (0,) * (f.nvars - len(mu)))
-        c -= sum(out.get(nu, 0) * K for nu, K in h_mu.items())
+        c = f.coefficient(mu + (0,) * (nvars - len(mu))) - found.get(mu, 0)
         if c:
             out[mu] = c
+            for rho, K in _weight_counts(mu, d, nvars).items():
+                found[rho] = found.get(rho, 0) + c * K
     return out

@@ -294,7 +294,12 @@ def check_shape_query(lam, n: int) -> Partition:
 
 
 def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
-    """All partitions obtained from ``lam`` by adding one vertical strip of ``size`` boxes."""
+    """All partitions obtained from ``lam`` by adding one vertical strip of ``size`` boxes.
+
+    ``ValueError`` for a ``size`` that is not an ``int`` >= 0.
+    """
+    if type(size) is not int or size < 0:
+        raise ValueError(f"strip size must be a nonnegative integer, got {size!r}")
     results: list[Partition] = []
     nrows = len(lam) + size
 

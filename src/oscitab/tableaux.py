@@ -26,7 +26,8 @@ EMPTY: Tableau = ()
 
 
 def tableau_shape(T: Tableau) -> Partition:
-    return tuple(len(row) for row in T)
+    """Row lengths of a semistandard tableau; ``ValueError`` for anything else."""
+    return tuple(map(len, check_tableau(T)))
 
 
 def is_semistandard(T) -> bool:
@@ -67,13 +68,12 @@ def check_tableau(T) -> Tableau:
 def weight(T: Tableau, nvars: int | None = None) -> Composition:
     """Content vector: multiplicity of each letter 1..max (or padded to ``nvars``).
 
-    Entries must be positive ``int``s, and at most ``nvars`` when it is given.
+    ``T`` must be a semistandard tableau, with entries at most ``nvars`` when
+    it is given.
     """
     if nvars is not None and (type(nvars) is not int or nvars < 0):
         raise ValueError(f"nvars must be a nonnegative integer, got {nvars!r}")
-    letters = [x for row in T for x in row]
-    for x in letters:
-        _check_letter(x)
+    letters = [x for row in check_tableau(T) for x in row]
     top = nvars if nvars is not None else max(letters, default=0)
     counts = [0] * top
     for x in letters:
@@ -86,7 +86,7 @@ def weight(T: Tableau, nvars: int | None = None) -> Composition:
 def row_word(T: Tableau) -> tuple[int, ...]:
     """Reading word: bottom row first, each row left to right."""
     out: list[int] = []
-    for row in reversed(T):
+    for row in reversed(check_tableau(T)):
         out.extend(row)
     return tuple(out)
 
@@ -203,7 +203,7 @@ def product(T1: Tableau, T2: Tableau) -> Tableau:
 
 def superstandard(lam: Partition) -> Tableau:
     """The tableau of shape ``lam`` whose row i is filled with i."""
-    return tuple((i + 1,) * p for i, p in enumerate(lam))
+    return tuple((i + 1,) * p for i, p in enumerate(check_partition(trim(lam))))
 
 
 def is_standard(T: Tableau) -> bool:

@@ -11,6 +11,7 @@ from oscitab.analysis import ssot_schur
 from oscitab.oscillating import com, descent_data, enumerate_qyot, enumerate_ssot
 from oscitab.polyring import (
     SparsePoly,
+    _weight_counts,
     f_expansion,
     fundamental_qsym,
     is_symmetric,
@@ -21,9 +22,12 @@ from oscitab.polyring import (
     ssot_poly,
 )
 from oscitab.shapes import (
+    _weak_refinements,
+    dominance_leq,
     even_conjugate_partitions,
     flat,
     in_N,
+    lambda_bar,
     partitions_of,
     ref_set,
     trim,
@@ -186,20 +190,22 @@ def test_f_expansion_paper_values():
 
 
 def test_f_expansion_oracle_exhaustive():
-    # generating polynomial equals the fundamental expansion, small shapes;
-    # both sides come from one descent count, so this checks the F assembly
-    for m in range(4):
+    # Gessel's identity, the paper's F-expansion: the generating polynomial,
+    # built from one weight count per partition, equals sum c_a F_a over the
+    # descent compositions of the descent-count DP, up to n = 11
+    cases = 0
+    for m in range(5):
         for lam in partitions_of(m):
-            for n in range(m, m + 5):
-                if not in_N(lam, n):
-                    continue
-                for k in range(1, 5):
-                    lhs = ssot_poly(lam, n, k)
-                    rhs = SparsePoly(k)
+            for n in range(m, 12, 2):
+                for k in range(1, 6):
+                    cases += 1
+                    rhs = Counter()
                     for a, c in f_expansion(lam, n, k).items():
-                        rhs = rhs + fundamental_qsym(a, k).scale(c)
-                    assert lhs == rhs, (lam, n, k)
-                    assert all(c > 0 for c in f_expansion(lam, n, k).values())
+                        assert c > 0
+                        for exp in fundamental_qsym(a, k).terms:
+                            rhs[exp] += c
+                    assert ssot_poly(lam, n, k) == SparsePoly(k, rhs), (lam, n, k)
+    assert cases == 285
 
 
 def test_descent_counts_match_enumerators():
@@ -265,6 +271,126 @@ def test_ssot_poly_matches_enumerated_ssots():
                     assert ssot_poly(lam, n, k) == SparsePoly(k, weights), (lam, n, k)
 
 
+def _strips_out(shape, size):
+    # the shapes mu with shape/mu a horizontal strip of size boxes:
+    # shape[i+1] <= mu[i] <= shape[i] in every row
+    if size == 0:
+        yield shape
+        return
+    rows = len(shape)
+
+    def rec(i, left, acc):
+        if i == rows:
+            if left == 0:
+                yield trim(tuple(acc))
+            return
+        below = shape[i + 1] if i + 1 < rows else 0
+        for take in range(min(left, shape[i] - below) + 1):
+            acc.append(shape[i] - take)
+            yield from rec(i + 1, left - take, acc)
+            acc.pop()
+
+    yield from rec(0, size, [])
+
+
+def _strips_in(shape, size):
+    # the shapes nu with nu/shape a horizontal strip of size boxes:
+    # shape[i] <= nu[i] <= shape[i-1] in every row, one row past the last
+    if size == 0:
+        yield shape
+        return
+    padded = shape + (0,)
+
+    def rec(i, left, acc):
+        if i == len(padded):
+            if left == 0:
+                yield trim(tuple(acc))
+            return
+        room = left if i == 0 else min(left, padded[i - 1] - padded[i])
+        for put in range(room + 1):
+            acc.append(padded[i] + put)
+            yield from rec(i + 1, left - put, acc)
+            acc.pop()
+
+    yield from rec(0, size, [])
+
+
+def strip_counter(lam):
+    """SSOTs of shape lam counted by weight, from the definition.
+
+    The state is the shape.  Letter i deletes one horizontal strip and then
+    adds one, c_i boxes in all; a shape further from lam than the boxes left
+    is dropped.  Reads neither the transition table nor the descent rule.
+    """
+    memo = {}
+
+    def dist(shape):
+        return sum(shape) + sum(lam) - 2 * sum(map(min, shape, lam))
+
+    def count(shape, rest):
+        key = (shape, rest)
+        if key not in memo:
+            if not rest:
+                memo[key] = int(shape == lam)
+            elif dist(shape) > sum(rest):
+                memo[key] = 0
+            else:
+                c, tail = rest[0], rest[1:]
+                memo[key] = sum(
+                    count(nu, tail)
+                    for dropped in range(min(c, sum(shape)) + 1)
+                    for mu in _strips_out(shape, dropped)
+                    for nu in _strips_in(mu, c - dropped)
+                )
+        return memo[key]
+
+    return lambda c: count((), tuple(c))
+
+
+def test_strip_counter_matches_enumerated_ssots():
+    # the oracle against the definition: letter weights of listed SSOTs
+    for m in range(4):
+        for lam in partitions_of(m):
+            counter = strip_counter(lam)
+            for n in range(m, m + 5, 2):
+                for k in range(1, 5):
+                    listed = Counter(com(S) + (0,) * (k - len(com(S))) for S in enumerate_ssot(lam, n, k))
+                    for c in _weak_refinements((n,), k):
+                        assert counter(c) == listed[c], (lam, n, c)
+
+
+def test_weight_counts_are_symmetric_and_match_the_strip_counter():
+    # every weak composition c: the strip count at c equals the table count at
+    # sorted(c), past the sizes that enumeration reaches
+    cases = 0
+    for lam, n_max, k in (((), 12, 4), ((1,), 11, 4), ((2,), 12, 4), ((1, 1), 12, 4), ((2, 1), 11, 5), ((3, 1), 12, 3), ((3, 2, 1), 10, 4)):
+        counter = strip_counter(lam)
+        for n in range(sum(lam), n_max + 1, 2):
+            counts = _weight_counts(lam, n, k)
+            for c in _weak_refinements((n,), k):
+                mu = trim(tuple(sorted(c, reverse=True)))
+                assert counter(c) == counts.get(mu, 0), (lam, n, c)
+                cases += 1
+    assert cases == 7241
+
+
+def test_weight_count_support_is_below_lambda_bar():
+    # the SNP claim by Rado: the support is every partition of n with at most
+    # k parts that lambda_bar(lam, n) dominates, wherever lambda_bar fits in k rows
+    checked = 0
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 15, 2):
+                bar = lambda_bar(lam, n)
+                for k in range(len(bar), 7):
+                    want = {mu for mu in partitions_of(n) if len(mu) <= k and dominance_leq(mu, bar)}
+                    counts = _weight_counts(lam, n, k)
+                    assert set(counts) == want, (lam, n, k)
+                    assert all(c > 0 for c in counts.values())
+                    checked += 1
+    assert checked > 300
+
+
 def test_descent_count_edge_cases():
     assert f_expansion((), 0, 1) == {(): 1}
     assert ssot_poly((), 0, 3) == SparsePoly.one(3)
@@ -308,6 +434,13 @@ WRONG_TYPES = {
     "sundaram": lambda: correspondences.sundaram(None),
     "has_snp": lambda: analysis.has_snp(None),
     "schur_expand": lambda: schur_expand(None),
+    "replay_events_strings": lambda: oscillating.replay_events([("a", "b")], ["add"]),
+    "replay_events_none": lambda: oscillating.replay_events([None], ["delete"]),
+    "weight": lambda: weight(None),
+    "row_word": lambda: tableaux.row_word(None),
+    "tableau_shape": lambda: tableaux.tableau_shape(None),
+    "superstandard": lambda: tableaux.superstandard(None),
+    "vertical_strip_additions": lambda: shapes.vertical_strip_additions((1, 2), 1.5),
 }
 
 
@@ -416,18 +549,19 @@ def test_schur_expand_unit_vectors():
 
 
 def test_schur_expand_matches_lr_layer_in_few_variables():
-    # in k variables the DP's polynomial keeps the LR coefficients of the nu
-    # with at most k parts: the OT-descent DP against Sundaram's LR sum
+    # in k variables the weight count's polynomial keeps the LR coefficients
+    # of the nu with at most k parts: the OT table count against Sundaram's
+    # LR sum, up to n = 9 in n variables
     cases = 0
-    for m in range(5):
+    for m in range(6):
         for lam in partitions_of(m):
-            for n in range(m, 9, 2):
+            for n in range(m, 10, 2):
                 want = ssot_schur(lam, n).coefficients
                 for k in sorted({1, 2, 3, n} - {0}):
                     cut = {nu: c for nu, c in want.items() if len(nu) <= k}
                     assert schur_expand(ssot_poly(lam, n, k)) == cut, (lam, n, k)
                     cases += 1
-    assert cases == 155
+    assert cases == 255
 
 
 def test_schur_expand_errors():

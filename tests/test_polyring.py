@@ -34,7 +34,7 @@ from oscitab.shapes import (
 )
 from oscitab.tableaux import des_syt, enumerate_syt, ssyt_of_shape, weight
 
-from test_oscillating import reference_ots
+from test_oscillating import reference_ots, strip_subshapes, strip_supershapes
 
 
 def poly_from_pairs(k, pairs):
@@ -271,50 +271,6 @@ def test_ssot_poly_matches_enumerated_ssots():
                     assert ssot_poly(lam, n, k) == SparsePoly(k, weights), (lam, n, k)
 
 
-def _strips_out(shape, size):
-    # the shapes mu with shape/mu a horizontal strip of size boxes:
-    # shape[i+1] <= mu[i] <= shape[i] in every row
-    if size == 0:
-        yield shape
-        return
-    rows = len(shape)
-
-    def rec(i, left, acc):
-        if i == rows:
-            if left == 0:
-                yield trim(tuple(acc))
-            return
-        below = shape[i + 1] if i + 1 < rows else 0
-        for take in range(min(left, shape[i] - below) + 1):
-            acc.append(shape[i] - take)
-            yield from rec(i + 1, left - take, acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
-
-
-def _strips_in(shape, size):
-    # the shapes nu with nu/shape a horizontal strip of size boxes:
-    # shape[i] <= nu[i] <= shape[i-1] in every row, one row past the last
-    if size == 0:
-        yield shape
-        return
-    padded = shape + (0,)
-
-    def rec(i, left, acc):
-        if i == len(padded):
-            if left == 0:
-                yield trim(tuple(acc))
-            return
-        room = left if i == 0 else min(left, padded[i - 1] - padded[i])
-        for put in range(room + 1):
-            acc.append(padded[i] + put)
-            yield from rec(i + 1, left - put, acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
-
-
 def strip_counter(lam):
     """SSOTs of shape lam counted by weight, from the definition.
 
@@ -336,11 +292,13 @@ def strip_counter(lam):
                 memo[key] = 0
             else:
                 c, tail = rest[0], rest[1:]
+                size = sum(shape)
                 memo[key] = sum(
                     count(nu, tail)
-                    for dropped in range(min(c, sum(shape)) + 1)
-                    for mu in _strips_out(shape, dropped)
-                    for nu in _strips_in(mu, c - dropped)
+                    for mu in strip_subshapes(shape)
+                    if (added := c - size + sum(mu)) >= 0
+                    for nu in strip_supershapes(mu, added)
+                    if sum(nu) - sum(mu) == added
                 )
         return memo[key]
 
@@ -354,7 +312,9 @@ def test_strip_counter_matches_enumerated_ssots():
             counter = strip_counter(lam)
             for n in range(m, m + 5, 2):
                 for k in range(1, 5):
-                    listed = Counter(com(S) + (0,) * (k - len(com(S))) for S in enumerate_ssot(lam, n, k))
+                    listed = Counter(
+                        com(S) + (0,) * (k - len(com(S))) for S in enumerate_ssot(lam, n, k)
+                    )
                     for c in _weak_refinements((n,), k):
                         assert counter(c) == listed[c], (lam, n, c)
 
@@ -363,7 +323,15 @@ def test_weight_counts_are_symmetric_and_match_the_strip_counter():
     # every weak composition c: the strip count at c equals the table count at
     # sorted(c), past the sizes that enumeration reaches
     cases = 0
-    for lam, n_max, k in (((), 12, 4), ((1,), 11, 4), ((2,), 12, 4), ((1, 1), 12, 4), ((2, 1), 11, 5), ((3, 1), 12, 3), ((3, 2, 1), 10, 4)):
+    for lam, n_max, k in (
+        ((), 12, 4),
+        ((1,), 11, 4),
+        ((2,), 12, 4),
+        ((1, 1), 12, 4),
+        ((2, 1), 11, 5),
+        ((3, 1), 12, 3),
+        ((3, 2, 1), 10, 4),
+    ):
         counter = strip_counter(lam)
         for n in range(sum(lam), n_max + 1, 2):
             counts = _weight_counts(lam, n, k)

@@ -21,11 +21,13 @@ from types import MappingProxyType
 from .shapes import (
     Partition,
     _Record,
+    _check_in_N,
     _check_instance,
+    _check_int,
+    _even_conjugate_partitions,
+    _tuple_of,
     _weak_refinements,
-    check_in_N,
     check_partition,
-    even_conjugate_partitions,
     partitions_of,
     trim,
     v_set,
@@ -40,6 +42,8 @@ class SchurExpansion(_Record):
     ``coefficients`` is a read-only copy of the mapping, or the pairs
     ``(partition, coefficient)``, that the expansion is built from; the
     record base hashes it by its items and pickles it as a ``dict``.
+    ``ValueError`` unless ``degree`` is an ``int`` >= 0 and each key a
+    partition of it with an ``int`` coefficient.
     """
 
     __slots__ = _fields = ("degree", "coefficients")
@@ -47,14 +51,23 @@ class SchurExpansion(_Record):
     coefficients: MappingProxyType
 
     def __init__(self, degree, coefficients):
-        super().__init__(degree, MappingProxyType(dict(coefficients)))
+        _check_int(degree, "degree", 0)
+        try:
+            coefficients = dict(coefficients)
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed coefficients: {coefficients!r}") from None
+        for nu, c in coefficients.items():
+            if sum(check_partition(nu)) != degree:
+                raise ValueError(f"{nu} is not a partition of {degree}")
+            _check_int(c, "a coefficient")
+        super().__init__(degree, MappingProxyType(coefficients))
 
 
 @lru_cache(maxsize=None)
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:
     """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu."""
     total: Counter = Counter()
-    for beta in even_conjugate_partitions(n - sum(lam)):
+    for beta in _even_conjugate_partitions(n - sum(lam)):
         total.update(lr_product(lam, beta))
     return tuple(sorted(total.items(), reverse=True))
 
@@ -66,8 +79,8 @@ def ssot_schur(lam: Partition, n: int) -> SchurExpansion:
     partitions beta of n - |lam| with even conjugate.
     """
     lam = check_partition(trim(lam))
-    check_in_N(lam, n)
-    return SchurExpansion(n, _ssot_schur_items(lam, n))
+    _check_in_N(lam, n)
+    return SchurExpansion._of(n, MappingProxyType(dict(_ssot_schur_items(lam, n))))
 
 
 def _same_size(lam, mu) -> tuple[Partition, Partition]:
@@ -81,7 +94,7 @@ def _same_size(lam, mu) -> tuple[Partition, Partition]:
 def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
     """Hall pairing of two SSOT functions: dot product of their Schur coefficients."""
     lam, mu = _same_size(lam, mu)
-    check_in_N(lam, n)
+    _check_in_N(lam, n)
     left = dict(_ssot_schur_items(lam, n))
     right = dict(_ssot_schur_items(mu, n))
     return sum(c * right.get(nu, 0) for nu, c in left.items())
@@ -144,8 +157,7 @@ def rational_rank(matrix) -> int:
 
 def independence_rank(m: int, n: int) -> int:
     """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``."""
-    if type(m) is not int or m < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {m!r}")
+    _check_int(m, "size", 0)
     if type(n) is not int or n < m or (n - m) % 2:
         raise ValueError(f"length {n!r} not admissible for size {m}: need n >= {m} and n == {m} (mod 2)")
     lams = partitions_of(m)
@@ -164,13 +176,14 @@ def in_convex_hull(point, points) -> bool:
     """Exact membership of ``point`` in the convex hull of ``points``.
 
     Phase-one simplex with Bland's rule over Fractions: feasibility of
-    nonnegative weights summing to 1 with the prescribed barycenter.  A point
-    of another dimension than ``point`` raises ``ValueError``.
+    nonnegative weights summing to 1 with the prescribed barycenter.  Points
+    are tuples of ``int``s; anything else, or a point of another dimension
+    than ``point``, raises ``ValueError``.
     """
     from fractions import Fraction  # imported here: the rest of the package never needs it
 
-    points = [tuple(p) for p in points]
-    point = tuple(point)
+    points = _int_points(points, "points")
+    (point,) = _int_points((point,), "point")
     k = len(point)
     if any(len(p) != k for p in points):
         raise ValueError(f"points must all have the dimension {k} of {point}")
@@ -220,13 +233,27 @@ def in_convex_hull(point, points) -> bool:
     return infeasibility == 0
 
 
+def _int_points(items, what: str) -> tuple[tuple[int, ...], ...]:
+    """``items`` as a tuple of tuples of ``int``s; ``ValueError`` naming ``what`` for anything else."""
+    return _tuple_of(items, what, lambda p: _tuple_of(p, "point", lambda x: _check_int(x, "a coordinate")))
+
+
 class LatticePolytopeCheck(_Record):
-    """Support, lattice points of its hull, and whether the two sets agree."""
+    """Support, lattice points of its hull, and whether the two sets agree.
+
+    ``ValueError`` unless both sets are tuples of ``int`` points and ``snp``
+    is a ``bool``.
+    """
 
     __slots__ = _fields = ("support", "polytope_points", "snp")
     support: tuple[tuple[int, ...], ...]
     polytope_points: tuple[tuple[int, ...], ...]
     snp: bool
+
+    def __init__(self, support, polytope_points, snp):
+        if type(snp) is not bool:
+            raise ValueError(f"snp must be a bool, got {snp!r}")
+        super().__init__(_int_points(support, "support"), _int_points(polytope_points, "polytope points"), snp)
 
 
 def _permutahedron_points(support, degree: int, nvars: int):
@@ -281,8 +308,4 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
             hi = [max(e[i] for e in support) for i in range(f.nvars)]
             candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
         inside = tuple(p for p in candidates if in_convex_hull(p, support))
-    return LatticePolytopeCheck(
-        support=tuple(support),
-        polytope_points=inside,
-        snp=all(p in f.terms for p in inside),
-    )
+    return LatticePolytopeCheck._of(tuple(support), inside, all(p in f.terms for p in inside))

@@ -14,8 +14,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
-from .oscillating import SSOT, descent_composition
-from .shapes import Partition, is_partition, v_set
+from .oscillating import SSOT, _descent_composition
+from .shapes import Partition, _check_int, _is_partition, v_set
 
 
 def parse_partition(text: str) -> Partition:
@@ -25,7 +25,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"malformed partition {text!r}: expected comma-separated integers")
-    if not is_partition(parts):
+    if not _is_partition(parts):
         raise ValueError(f"malformed partition {text!r}: parts must weakly decrease and be positive")
     return parts
 
@@ -118,15 +118,15 @@ def _listed_qyot(lam: Partition, n: int, k: int, limit):
     descent composition.  The query must have been checked.
     """
     for steps, letters, boxes, _, des in islice(oscillating._qyots(lam, n, k), limit):
-        comp = descent_composition(des, n)
+        comp = _descent_composition(des, n)
         run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
         yield steps, oscillating._box_rows(letters, boxes), run, comp
 
 
 def cmd_enumerate_qyot(args) -> None:
     lam = parse_partition(args.partition)
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {args.limit}")
+    if args.limit is not None:
+        _check_int(args.limit, "limit", 0)
     count = sum(polyring.f_expansion(lam, args.n, args.k).values())  # checks the query
     listed = _listed_qyot(lam, args.n, args.k, args.limit)
     if not args.json:

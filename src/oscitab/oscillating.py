@@ -19,16 +19,17 @@ from .shapes import (
     Partition,
     _Record,
     _check_instance,
+    _check_int,
+    _in_N,
+    _int_pair,
+    _is_horizontal_strip,
+    _is_partition,
+    _northeast,
     _tuple_of,
     _weak_refinements,
-    add_box,
     check_partition,
     check_shape_query,
-    in_N,
-    is_horizontal_strip,
-    is_partition,
-    northeast,
-    remove_box,
+    check_tableau_query,
 )
 
 ADD = "add"
@@ -46,7 +47,7 @@ class OscillatingTableau(_Record):
         if not chain or chain[0] != ():
             raise ValueError("an oscillating tableau starts at the empty shape")
         for j, (a, b) in enumerate(pairwise(chain)):
-            if not (is_partition(b) and _move(a, b)):  # is_partition rejects float and bool parts
+            if not (_is_partition(b) and _move(a, b)):  # _is_partition rejects float and bool parts
                 raise ValueError(f"chain step {j} does not change exactly one box")
         super().__init__(chain)
 
@@ -60,12 +61,26 @@ class OscillatingTableau(_Record):
 
 
 class EventTrace(_Record):
-    """Substep history: letters, touched boxes and add/delete kinds."""
+    """Substep history: letters, touched boxes and add/delete kinds.
+
+    The constructor checks the types only: letters are ``int``s >= 1, boxes
+    pairs of ``int``s and kinds ``ADD`` or ``DELETE``, as many of each.
+    ``ssot_from_events`` checks that the events make an SSOT.
+    """
 
     __slots__ = _fields = ("profile", "boxes", "kinds")
     profile: tuple[int, ...]
     boxes: tuple[Box, ...]
     kinds: tuple[str, ...]
+
+    def __init__(self, profile, boxes, kinds):
+        profile = _tuple_of(profile, "letters", lambda u: _check_int(u, "a letter", 1))
+        boxes, kinds = _tuple_of(boxes, "boxes", _int_pair), _tuple_of(kinds, "event kinds")
+        if not len(profile) == len(boxes) == len(kinds):
+            raise ValueError("event components differ in length")
+        for kind in kinds:
+            _check_kind(kind)
+        super().__init__(profile, boxes, kinds)
 
     def __len__(self) -> int:
         return len(self.profile)
@@ -118,9 +133,9 @@ class SSOT(_Record):
         for i, (deleted, reached) in enumerate(steps, 1):
             if i == 1 and deleted != ():
                 raise ValueError("step 1 cannot delete boxes")
-            if not is_horizontal_strip(deleted, prev):
+            if not _is_horizontal_strip(deleted, prev):
                 raise ValueError(f"step {i}: deleted boxes are not a horizontal strip")
-            if not is_horizontal_strip(deleted, reached):
+            if not _is_horizontal_strip(deleted, reached):
                 raise ValueError(f"step {i}: added boxes are not a horizontal strip")
             prev = reached
         if steps:
@@ -189,25 +204,26 @@ def ot_events(O: OscillatingTableau) -> EventTrace:
     return EventTrace._of(tuple(range(1, O.length + 1)), boxes, kinds)
 
 
+def _check_kind(kind) -> None:
+    if kind != ADD and kind != DELETE:
+        raise ValueError(f"unknown event kind {kind!r}")
+
+
 def replay_events(boxes, kinds) -> tuple[Partition, ...]:
     """Partition chain traced by events, starting from the empty shape.
 
     ``ValueError`` unless each event adds or deletes a box that is a pair of
-    integers and a corner of the shape it reaches.
+    ``int``s and a corner of the shape it reaches: the event must be one of
+    the ``_one_box_moves`` of that shape.
     """
     current: Partition = ()
     chain = [current]
-    try:
-        for box, kind in zip(boxes, kinds):
-            if kind == ADD:
-                current = add_box(current, box)
-            elif kind == DELETE:
-                current = remove_box(current, box)
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-            chain.append(current)
-    except TypeError:
-        raise ValueError("malformed events: boxes and kinds must be sequences, each box a pair of integers") from None
+    for box, kind in zip(_tuple_of(boxes, "boxes", _int_pair), _tuple_of(kinds, "event kinds")):
+        _check_kind(kind)
+        current = next((nxt for kind2, box2, nxt, _ in _one_box_moves(current, ()) if box2 == box and kind2 == kind), None)
+        if current is None:
+            raise ValueError(f"cannot {kind} the box {box} at the shape {chain[-1]}")
+        chain.append(current)
     return tuple(chain)
 
 
@@ -230,8 +246,8 @@ def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
     an addition never descends.
     """
     if kind1 == ADD:
-        return kind2 == DELETE or not northeast(box1, box2)
-    return kind2 == DELETE and not northeast(box2, box1)
+        return kind2 == DELETE or not _northeast(box1, box2)
+    return kind2 == DELETE and not _northeast(box2, box1)
 
 
 def descent_positions(events: EventTrace) -> tuple[int, ...]:
@@ -245,7 +261,7 @@ def descent_positions(events: EventTrace) -> tuple[int, ...]:
     return tuple(out)
 
 
-def descent_composition(des, n: int) -> Composition:
+def _descent_composition(des, n: int) -> Composition:
     """Lengths of the runs that the descent positions ``des`` cut ``n`` events into."""
     if n == 0:
         return ()
@@ -256,7 +272,7 @@ def descent_data(x) -> tuple[frozenset[int], Composition, int]:
     """Descent set, descent composition and step count of an OT, SSOT or event trace."""
     events = _events_of(x)
     des = descent_positions(events)
-    comp = descent_composition(des, len(events))
+    comp = _descent_composition(des, len(events))
     return frozenset(des), comp, len(comp)
 
 
@@ -266,28 +282,14 @@ def standardize(S: SSOT) -> OscillatingTableau:
     return OscillatingTableau._of(replay_events(events.boxes, events.kinds))
 
 
-def _int_pair(box) -> Box:
-    try:
-        row, col = box
-    except (TypeError, ValueError):
-        row = col = None
-    if type(row) is not int or type(col) is not int:
-        raise ValueError(f"boxes must be pairs of integers, got {box!r}")
-    return row, col
-
-
 def ssot_from_events(profile, boxes, kinds) -> SSOT:
     """Rebuild an SSOT from labelled events: exactly the event lists that ``substep_events`` yields.
 
     The events must replay into a chain from the empty shape, and the steps
     that the letters cut the chain into must yield the same events again.
     """
-    profile, kinds = _tuple_of(profile, "letters"), _tuple_of(kinds, "event kinds")
-    boxes = _tuple_of(boxes, "boxes", _int_pair)
-    if not len(profile) == len(boxes) == len(kinds):
-        raise ValueError("event components differ in length")
-    if any(type(u) is not int for u in profile) or profile and profile[0] < 1:
-        raise ValueError("letters must be positive integers")
+    events = EventTrace(profile, boxes, kinds)
+    profile, boxes, kinds = events.profile, events.boxes, events.kinds
     if any(profile[j] > profile[j + 1] for j in range(len(profile) - 1)):
         raise ValueError("letters must weakly increase")
     chain = replay_events(boxes, kinds)
@@ -325,19 +327,7 @@ def run_of(x) -> Run:
     return Run(events.profile, frozenset(descent_positions(events)))
 
 
-def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
-    """Validate a (shape, length, bound) query and return the shape without trailing zeros.
-
-    A non-partition shape, a length that is not an ``int`` >= 0 and a bound
-    that is not an ``int`` >= 1 raise ``ValueError``.  An inadmissible length
-    is not an error: its answer is empty.
-    """
-    if type(bound) is not int or bound < 1:
-        raise ValueError(f"{bound_name} must be an integer at least 1, got {bound!r}")
-    return check_shape_query(lam, n)
-
-
-def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Partition, int]]:
+def _one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Partition, int]]:
     """Every event from ``shape``: its kind, its box, the shape it reaches and that shape's distance to ``lam``.
 
     Deletions come first, rightmost box first, then additions left to right:
@@ -369,8 +359,8 @@ def one_box_moves(shape: Partition, lam: Partition) -> list[tuple[str, Box, Part
 
 
 def _move(a: Partition, b: Partition) -> tuple[str, Box] | None:
-    """Kind and box of the event from ``a`` to ``b``, read off ``one_box_moves``; None if there is none."""
-    return next(((kind, box) for kind, box, nxt, _ in one_box_moves(a, ()) if nxt == b), None)
+    """Kind and box of the event from ``a`` to ``b``, read off ``_one_box_moves``; None if there is none."""
+    return next(((kind, box) for kind, box, nxt, _ in _one_box_moves(a, ()) if nxt == b), None)
 
 
 class _Table(dict):
@@ -378,7 +368,7 @@ class _Table(dict):
 
     A state is ``(shape, kind, box)``: a shape with the kind and box of the
     event that reached it, ``((), None, None)`` before the first event.
-    ``table[state]`` lists, in ``one_box_moves`` order, one
+    ``table[state]`` lists, in ``_one_box_moves`` order, one
     ``(state', descends, dist)`` per event from the shape: the state it
     reaches, whether ``is_descent`` puts a descent between the two events,
     and the distance of the new shape to ``lam``.  An entry is stored whole,
@@ -393,7 +383,7 @@ class _Table(dict):
 
     def __missing__(self, state):
         shape, kind, box = state
-        moves = self.moves.get(shape) or self.moves.setdefault(shape, one_box_moves(shape, self.lam))
+        moves = self.moves.get(shape) or self.moves.setdefault(shape, _one_box_moves(shape, self.lam))
         out = self[state] = [
             ((nxt, kind2, box2), kind is not None and is_descent(kind, box, kind2, box2), dist)
             for kind2, box2, nxt, dist in moves
@@ -423,7 +413,7 @@ def _walk(lam: Partition, n: int, max_parts: int):
     more than ``max_parts`` runs, so every branch taken ends in an OT that
     is yielded.  ``lam`` must be a partition and ``n`` nonnegative.
     """
-    if not in_N(lam, n):
+    if not _in_N(lam, n):
         return
     table = _transitions(lam)
     chain: list[Partition] = [()]
@@ -529,7 +519,7 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
         dels = _deletions(kinds)
         out.extend(
             SSOT._of(_steps(chain, dels, accumulate(c)))
-            for c in _weak_refinements(descent_composition(des, n), max_letter)
+            for c in _weak_refinements(_descent_composition(des, n), max_letter)
         )
     return out
 

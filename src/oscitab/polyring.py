@@ -8,16 +8,9 @@ from itertools import combinations
 from math import factorial
 from types import MappingProxyType
 
-from .shapes import Composition, Partition, _Record, _check_instance, _tuple_of, _weak_refinements
-from .shapes import check_partition, in_N, is_strong, partitions_of, trim
-from .oscillating import _transitions, check_tableau_query
-
-
-def _check_coefficient(c) -> int:
-    """``c`` itself; ``ValueError`` unless it is an ``int`` (not a ``bool``)."""
-    if type(c) is not int:
-        raise ValueError(f"coefficients must be integers, got {c!r}")
-    return c
+from .shapes import Composition, Partition, _Record, _check_instance, _check_int, _composition, _in_N, _tuple_of
+from .shapes import _weak_refinements, check_partition, check_tableau_query, partitions_of, trim
+from .oscillating import _transitions
 
 
 class SparsePoly(_Record):
@@ -33,8 +26,7 @@ class SparsePoly(_Record):
     terms: MappingProxyType
 
     def __init__(self, nvars: int, terms=()):
-        if type(nvars) is not int or nvars < 0:
-            raise ValueError(f"nvars must be a nonnegative integer, got {nvars!r}")
+        _check_int(nvars, "nvars", 0)
         try:
             terms = dict(terms)
         except TypeError:
@@ -44,7 +36,7 @@ class SparsePoly(_Record):
             exp = _tuple_of(exp, "exponent vector")
             if len(exp) != nvars or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-            if _check_coefficient(coef):
+            if _check_int(coef, "a coefficient"):
                 checked[exp] = coef
         super().__init__(nvars, MappingProxyType(checked))
 
@@ -59,7 +51,8 @@ class SparsePoly(_Record):
 
     @classmethod
     def one(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: 1})
+        _check_int(nvars, "nvars", 0)
+        return cls._of(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def monomial(cls, exp, coef: int = 1) -> "SparsePoly":
@@ -69,10 +62,10 @@ class SparsePoly(_Record):
     @classmethod
     def variable(cls, i: int, nvars: int) -> "SparsePoly":
         """The variable ``x_{i+1}``, for ``i`` in ``0..nvars-1``."""
-        if type(i) is not int or not 0 <= i < nvars:
+        if _check_int(i, "variable index", 0) >= _check_int(nvars, "nvars", 0):
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: 1})
+        return cls._of(nvars, {exp: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,7 +90,7 @@ class SparsePoly(_Record):
         return self + (-other)
 
     def scale(self, c: int) -> "SparsePoly":
-        _check_coefficient(c)
+        _check_int(c, "a coefficient")
         return SparsePoly._of(self.nvars, {exp: c * coef for exp, coef in self.terms.items()})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
@@ -185,11 +178,8 @@ class SparsePoly(_Record):
 
 def monomial_qsym(b: Composition, k: int) -> SparsePoly:
     """Sum of ``x^c`` over weak compositions ``c`` of length ``k`` flattening to ``b``."""
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    b = trim(b)
-    if not is_strong(b):
-        raise ValueError("monomial quasi-symmetric functions are indexed by strong compositions")
+    _check_int(k, "k", 0)
+    b = _composition(b, strong=True)
     terms = {}
     for positions in combinations(range(k), len(b)):
         exp = [0] * k
@@ -201,11 +191,8 @@ def monomial_qsym(b: Composition, k: int) -> SparsePoly:
 
 def fundamental_qsym(a: Composition, k: int) -> SparsePoly:
     """Fundamental quasi-symmetric polynomial: the sum of ``M_b`` over all refinements ``b`` of ``a``."""
-    if type(k) is not int or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    a = trim(a)
-    if not is_strong(a):
-        raise ValueError("fundamental quasi-symmetric functions are indexed by strong compositions")
+    _check_int(k, "k", 0)
+    a = _composition(a, strong=True)
     # the weak compositions of length k that refine a: the contents of the
     # weakly increasing words in 1..k that strictly increase at a's descents
     return SparsePoly._of(k, dict.fromkeys(_weak_refinements(a, k), 1))
@@ -237,7 +224,7 @@ def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, 
     counts of the end states are summed by mask, and each distinct mask is
     decoded once, straight into its composition.
     """
-    if not in_N(lam, n):
+    if not _in_N(lam, n):
         return {}
     if n == 0:
         return {(): 1}
@@ -297,7 +284,7 @@ def _weight_counts(lam: Partition, n: int, k: int) -> dict[Partition, int]:
     its layers.  A branch ends when its layer is empty; a part is not tried
     when the parts left, none larger, cannot make up ``n``.
     """
-    if not in_N(lam, n):
+    if not _in_N(lam, n):
         return {}
     if n == 0:
         return {(): 1}
@@ -376,10 +363,8 @@ def f_expansion(lam: Partition, n: int, max_step: int) -> dict[Composition, int]
 
 def littlewood_truncated(k: int, maxdeg: int) -> SparsePoly:
     """Truncation of the product over i<j of the geometric series in ``x_i x_j``."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer at least 1, got {k!r}")
-    if type(maxdeg) is not int or maxdeg < 0:
-        raise ValueError(f"maxdeg must be a nonnegative integer, got {maxdeg!r}")
+    _check_int(k, "k", 1)
+    _check_int(maxdeg, "maxdeg", 0)
     total = SparsePoly.one(k)
     for i in range(k):
         for j in range(i + 1, k):

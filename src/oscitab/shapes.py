@@ -97,7 +97,7 @@ class _Record:
         return type(self), self._values(dict)
 
 
-def is_partition(parts) -> bool:
+def _is_partition(parts) -> bool:
     """True if ``parts`` is a weakly decreasing tuple of positive integers."""
     return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
@@ -112,6 +112,25 @@ def _tuple_of(items, what: str, convert=None) -> tuple:
         raise ValueError(f"malformed {what}: {items!r}") from None
 
 
+def _check_int(value, what: str, low: int | None = None) -> int:
+    """``value`` itself; ``ValueError`` naming ``what`` unless it is an ``int`` (not a ``bool``), at least ``low`` if given."""
+    if type(value) is not int or low is not None and value < low:
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{what} must be an integer{at_least}, got {value!r}")
+    return value
+
+
+def _int_pair(box) -> Box:
+    """``box`` as a tuple; ``ValueError`` unless it is a pair of ``int``s."""
+    try:
+        row, col = box
+    except (TypeError, ValueError):
+        row = col = None
+    if type(row) is not int or type(col) is not int:
+        raise ValueError(f"boxes must be pairs of integers, got {box!r}")
+    return row, col
+
+
 def _check_instance(value, cls, what: str):
     """``value`` itself; ``ValueError`` naming ``what`` unless it is an instance of ``cls``."""
     if not isinstance(value, cls):
@@ -122,17 +141,17 @@ def _check_instance(value, cls, what: str):
 def check_partition(parts) -> Partition:
     """``parts`` as a tuple; ``ValueError`` unless it is a partition, with no zero parts."""
     lam = parts if type(parts) is tuple else _tuple_of(parts, "partition")
-    if not is_partition(lam):
+    if not _is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     return lam
 
 
-def part(lam: Partition, i: int) -> int:
+def _part(lam: Partition, i: int) -> int:
     """Row length ``lam[i]`` with zero padding past the last part (0-based)."""
     return lam[i] if 0 <= i < len(lam) else 0
 
 
-def contains(inner: Partition, outer: Partition) -> bool:
+def _contains(inner: Partition, outer: Partition) -> bool:
     """Diagram containment: every row of ``inner`` fits inside ``outer``."""
     return len(inner) <= len(outer) and all(
         inner[i] <= outer[i] for i in range(len(inner))
@@ -148,8 +167,8 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def is_even_partition(lam: Partition) -> bool:
-    """True if every row has an even number of boxes."""
-    return all(p % 2 == 0 for p in lam)
+    """True if every row has an even number of boxes; ``ValueError`` for a non-partition."""
+    return all(p % 2 == 0 for p in check_partition(trim(lam)))
 
 
 def trim(c) -> Composition:
@@ -161,21 +180,22 @@ def trim(c) -> Composition:
     return c[:end]
 
 
-def is_strong(c) -> bool:
-    """True if the trimmed composition has only positive parts."""
-    return all(p > 0 for p in trim(c))
+def _composition(c, strong: bool = False) -> Composition:
+    """``c`` without trailing zeros; ``ValueError`` unless its parts are ``int``s >= 0, or >= 1 if ``strong``."""
+    c = trim(_tuple_of(c, "composition", lambda p: _check_int(p, "a part", 0)))
+    if strong and 0 in c:
+        raise ValueError(f"expected a strong composition, got {c}")
+    return c
 
 
 def flat(c) -> Composition:
     """Delete all zero parts, yielding a strong composition of the same size."""
-    return tuple(p for p in c if p > 0)
+    return tuple(p for p in _composition(c) if p > 0)
 
 
 def refines(b, a) -> bool:
-    """True if ``b`` splits into consecutive blocks summing to the parts of ``a``."""
-    a, b = trim(a), trim(b)
-    if not is_strong(a) or not is_strong(b):
-        raise ValueError("refinement is defined for strong compositions")
+    """True if ``b`` splits into consecutive blocks summing to the parts of ``a``; both must be strong."""
+    a, b = _composition(a, strong=True), _composition(b, strong=True)
     i = 0
     for target in a:
         acc = 0
@@ -198,10 +218,8 @@ def _splits(n: int):
 
 
 def ref_set(a) -> tuple[Composition, ...]:
-    """All strong compositions refining ``a``, sorted lexicographically descending."""
-    a = trim(a)
-    if not is_strong(a):
-        raise ValueError("refinement is defined for strong compositions")
+    """All strong compositions refining ``a``, sorted lexicographically descending; ``a`` must be strong."""
+    a = _composition(a, strong=True)
     out = [()]
     for p in a:
         out = [head + block for head in out for block in _splits(p)]
@@ -251,36 +269,37 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
         raise ValueError(f"dominance needs equal sizes, got {sum(mu)} and {sum(lam)}")
     acc_mu = acc_lam = 0
     for i in range(max(len(mu), len(lam))):
-        acc_mu += part(mu, i)
-        acc_lam += part(lam, i)
+        acc_mu += _part(mu, i)
+        acc_lam += _part(lam, i)
         if acc_mu > acc_lam:
             return False
     return True
 
 
-def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
+def _is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
     """True if ``outer/inner`` has at most one box in each column."""
-    if not contains(inner, outer):
+    if not _contains(inner, outer):
         return False
-    return all(part(outer, i + 1) <= part(inner, i) for i in range(len(outer)))
+    return all(_part(outer, i + 1) <= _part(inner, i) for i in range(len(outer)))
 
 
 def is_vertical_strip(inner: Partition, outer: Partition) -> bool:
-    """True if ``outer/inner`` has at most one box in each row."""
-    if not contains(inner, outer):
+    """True if ``outer/inner`` has at most one box in each row; ``ValueError`` for a non-partition."""
+    inner, outer = check_partition(trim(inner)), check_partition(trim(outer))
+    if not _contains(inner, outer):
         return False
-    return all(outer[i] - part(inner, i) <= 1 for i in range(len(outer)))
+    return all(outer[i] - _part(inner, i) <= 1 for i in range(len(outer)))
 
 
-def in_N(lam: Partition, n: int) -> bool:
+def _in_N(lam: Partition, n: int) -> bool:
     """True if ``n`` can be the length of a chain ending at ``lam``: n >= |lam|, same parity."""
     m = sum(lam)
     return n >= m and (n - m) % 2 == 0
 
 
-def check_in_N(lam: Partition, n: int) -> None:
-    """Raise ``ValueError`` unless ``n`` is an ``int`` admissible as a length for ``lam`` (see ``in_N``)."""
-    if type(n) is not int or not in_N(lam, n):
+def _check_in_N(lam: Partition, n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` is an ``int`` admissible as a length for ``lam`` (see ``_in_N``)."""
+    if type(n) is not int or not _in_N(lam, n):
         raise ValueError(
             f"{n!r} not admissible for {tuple(lam)}: need n >= |lam| and n == |lam| (mod 2)"
         )
@@ -288,18 +307,23 @@ def check_in_N(lam: Partition, n: int) -> None:
 
 def check_shape_query(lam, n: int) -> Partition:
     """The shape without trailing zeros; ``ValueError`` for a non-partition or an ``n`` that is not an ``int`` >= 0."""
-    if type(n) is not int or n < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    _check_int(n, "length", 0)
     return check_partition(trim(lam))
 
 
-def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
-    """All partitions obtained from ``lam`` by adding one vertical strip of ``size`` boxes.
+def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
+    """Validate a (shape, length, bound) query and return the shape without trailing zeros.
 
-    ``ValueError`` for a ``size`` that is not an ``int`` >= 0.
+    A non-partition shape, a length that is not an ``int`` >= 0 and a bound
+    that is not an ``int`` >= 1 raise ``ValueError``.  An inadmissible length
+    is not an error: its answer is empty.
     """
-    if type(size) is not int or size < 0:
-        raise ValueError(f"strip size must be a nonnegative integer, got {size!r}")
+    _check_int(bound, bound_name, 1)
+    return check_shape_query(lam, n)
+
+
+def _vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
+    """All partitions obtained from the partition ``lam`` by adding one vertical strip of ``size`` >= 0 boxes."""
     results: list[Partition] = []
     nrows = len(lam) + size
 
@@ -309,7 +333,7 @@ def vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
             return
         if i == nrows or remaining > nrows - i:
             return
-        base = part(lam, i)
+        base = _part(lam, i)
         for add in (0, 1):
             new = base + add
             if new == 0 or new > prev:
@@ -336,25 +360,26 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def _v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
-    if not in_N(lam, n):
+    if not _in_N(lam, n):
         return ()
     layer = {lam}
     for _ in range((n - sum(lam)) // 2):
-        layer = {nu for mu in layer for nu in vertical_strip_additions(mu, 2)}
+        layer = {nu for mu in layer for nu in _vertical_strip_additions(mu, 2)}
     return tuple(sorted(layer, reverse=True))
 
 
 def lambda_bar(lam: Partition, n: int) -> Partition:
     """The dominance-maximum of ``v_set(lam, n)``: add (n-|lam|)/2 to the top two rows."""
     lam = check_partition(trim(lam))
-    check_in_N(lam, n)
+    _check_in_N(lam, n)
     r = (n - sum(lam)) // 2
     padded = lam + (0,) * max(0, 2 - len(lam))
     return trim((padded[0] + r, padded[1] + r) + padded[2:])
 
 
 def partitions_of(m: int) -> tuple[Partition, ...]:
-    """All partitions of ``m``, lexicographically descending."""
+    """All partitions of ``m``, lexicographically descending; ``ValueError`` unless ``m`` is an ``int`` >= 0."""
+    _check_int(m, "size", 0)
     return tuple(sorted(_partitions_of(m, m), reverse=True))
 
 
@@ -368,7 +393,7 @@ def _partitions_of(m: int, largest: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def even_conjugate_partitions(m: int) -> tuple[Partition, ...]:
+def _even_conjugate_partitions(m: int) -> tuple[Partition, ...]:
     """Partitions of ``m`` whose conjugate is even, i.e. rows repeat in equal pairs."""
     if m % 2 != 0:
         return ()
@@ -379,42 +404,6 @@ def even_conjugate_partitions(m: int) -> tuple[Partition, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def addable_boxes(lam: Partition) -> list[Box]:
-    """Boxes whose addition leaves a partition, ordered by increasing column."""
-    boxes = []
-    for i in range(len(lam) + 1):
-        if part(lam, i) < part(lam, i - 1) or i == 0:
-            boxes.append((i + 1, part(lam, i) + 1))
-    return sorted(boxes, key=lambda b: b[1])
-
-
-def removable_boxes(lam: Partition) -> list[Box]:
-    """Outside corners, ordered by decreasing column."""
-    boxes = []
-    for i in range(len(lam)):
-        if lam[i] > part(lam, i + 1):
-            boxes.append((i + 1, lam[i]))
-    return sorted(boxes, key=lambda b: -b[1])
-
-
-def add_box(lam: Partition, box: Box) -> Partition:
-    row, col = box
-    if col != part(lam, row - 1) + 1 or not (row == 1 or part(lam, row - 2) >= col):
-        raise ValueError(f"box {box} is not addable to {lam}")
-    padded = list(lam) + [0] * (row - len(lam))
-    padded[row - 1] += 1
-    return trim(padded)
-
-
-def remove_box(lam: Partition, box: Box) -> Partition:
-    row, col = box
-    if not 1 <= row <= len(lam) or lam[row - 1] != col or part(lam, row) == col:
-        raise ValueError(f"box {box} is not an outside corner of {lam}")
-    out = list(lam)
-    out[row - 1] -= 1
-    return trim(out)
-
-
-def northeast(b1: Box, b2: Box) -> bool:
+def _northeast(b1: Box, b2: Box) -> bool:
     """True if ``b2`` lies strictly northEast of ``b1``: weakly above and strictly right."""
     return b1[0] >= b2[0] and b1[1] < b2[1]

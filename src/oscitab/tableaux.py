@@ -11,12 +11,14 @@ from .shapes import (
     Box,
     Composition,
     Partition,
+    _check_int,
+    _contains,
+    _int_pair,
+    _northeast,
+    _part,
     _tuple_of,
     check_partition,
     conjugate,
-    contains,
-    northeast,
-    part,
     trim,
 )
 
@@ -71,8 +73,8 @@ def weight(T: Tableau, nvars: int | None = None) -> Composition:
     ``T`` must be a semistandard tableau, with entries at most ``nvars`` when
     it is given.
     """
-    if nvars is not None and (type(nvars) is not int or nvars < 0):
-        raise ValueError(f"nvars must be a nonnegative integer, got {nvars!r}")
+    if nvars is not None:
+        _check_int(nvars, "nvars", 0)
     letters = [x for row in check_tableau(T) for x in row]
     top = nvars if nvars is not None else max(letters, default=0)
     counts = [0] * top
@@ -91,11 +93,6 @@ def row_word(T: Tableau) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_letter(x) -> None:
-    if type(x) is not int or x < 1:
-        raise ValueError(f"tableau entries must be positive integers, got {x!r}")
-
-
 def _row_insert(rows: list[list[int]], x: int) -> Box:
     """Schensted row insertion into a list of rows, in place; returns the new corner box."""
     for r, row in enumerate(rows):
@@ -109,19 +106,18 @@ def _row_insert(rows: list[list[int]], x: int) -> Box:
 
 
 def row_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
-    """Schensted row insertion; returns the new tableau and the new corner box."""
-    _check_letter(x)
-    rows = [list(row) for row in T]
+    """Schensted row insertion into a semistandard tableau; returns the new tableau and the new corner box."""
+    _check_int(x, "a tableau entry", 1)
+    rows = [list(row) for row in check_tableau(T)]
     box = _row_insert(rows, x)
     return tuple(map(tuple, rows)), box
 
 
 def insertion_tableau(word) -> Tableau:
-    """RSK insertion tableau of a word, inserted left to right."""
+    """RSK insertion tableau of a word of ``int``s >= 1, inserted left to right."""
     rows: list[list[int]] = []
-    for x in word:
-        _check_letter(x)
-        _row_insert(rows, x)
+    for x in _tuple_of(word, "word"):
+        _row_insert(rows, _check_int(x, "a tableau entry", 1))
     return tuple(map(tuple, rows))
 
 
@@ -178,9 +174,9 @@ def _column_unbump(cols: list[list[int]], box: Box) -> int:
 
 
 def column_insert(T: Tableau, x: int) -> tuple[Tableau, Box]:
-    """Column insertion: ``x`` bumps the topmost entry >= x, moving right."""
-    _check_letter(x)
-    cols = _columns(T)
+    """Column insertion into a semistandard tableau: ``x`` bumps the topmost entry >= x, moving right."""
+    _check_int(x, "a tableau entry", 1)
+    cols = _columns(check_tableau(T))
     box = _column_insert(cols, x)
     return _from_columns(cols), box
 
@@ -189,10 +185,11 @@ def column_unbump(T: Tableau, box: Box) -> tuple[Tableau, int]:
     """Remove the corner entry at ``box``, reverse-inserting leftward.
 
     Returns the smaller tableau and the value ejected from column 1; exact
-    inverse of :func:`column_insert`.
+    inverse of :func:`column_insert`.  ``ValueError`` unless ``T`` is a
+    semistandard tableau and ``box`` one of its corners.
     """
-    cols = _columns(T)
-    x = _column_unbump(cols, box)
+    cols = _columns(check_tableau(T))
+    x = _column_unbump(cols, _int_pair(box))
     return _from_columns(cols), x
 
 
@@ -224,7 +221,7 @@ def standard_horizontal_bands(T: Tableau) -> list[int]:
     sizes: list[int] = []
     current = 0
     for v in range(1, n + 1):
-        if current and northeast(pos[v - 1], pos[v]):
+        if current and _northeast(pos[v - 1], pos[v]):
             current += 1
         else:
             if current:
@@ -246,9 +243,7 @@ def step_syt(T: Tableau) -> int:
 
 def is_reverse_yamanouchi(word) -> bool:
     """True if every suffix of the word has weakly decreasing letter counts; letters are ``int``s >= 1."""
-    word = _tuple_of(word, "word")
-    for x in word:
-        _check_letter(x)
+    word = _tuple_of(word, "word", lambda x: _check_int(x, "a letter", 1))
     top = max(word, default=0)
     counts = [0] * (top + 2)
     for x in reversed(word):
@@ -261,8 +256,7 @@ def is_reverse_yamanouchi(word) -> bool:
 def ssyt_of_shape(lam: Partition, max_entry: int):
     """Yield all semistandard tableaux of shape ``lam`` with entries <= max_entry."""
     lam = check_partition(trim(lam))
-    if type(max_entry) is not int or max_entry < 0:
-        raise ValueError(f"max_entry must be a nonnegative integer, got {max_entry!r}")
+    _check_int(max_entry, "max_entry", 0)
     if len(lam) > max_entry:
         return
     rows: list[list[int]] = []
@@ -303,7 +297,7 @@ def _syt_rec(lam: Partition, n: int):
         yield EMPTY
         return
     for i in range(len(lam)):
-        if lam[i] > part(lam, i + 1):
+        if lam[i] > _part(lam, i + 1):
             smaller = tuple(p for p in lam[:i] + (lam[i] - 1,) + lam[i + 1 :] if p)
             for T in _syt_rec(smaller, n - 1):
                 rows = list(T) + [()] * (i + 1 - len(T))
@@ -323,18 +317,18 @@ def lr_tableaux(lam: Partition, mu: Partition, nu: Partition):
 
 
 def _lr_fillings(lam: Partition, mu: Partition, nu: Partition):
-    if sum(nu) != sum(lam) + sum(mu) or not contains(lam, nu) or not contains(mu, nu):
+    if sum(nu) != sum(lam) + sum(mu) or not _contains(lam, nu) or not _contains(mu, nu):
         return
     nrows = len(nu)
     grid: list[list[int | None]] = [
-        [None] * part(lam, r) + [0] * (nu[r] - part(lam, r)) for r in range(nrows)
+        [None] * _part(lam, r) + [0] * (nu[r] - _part(lam, r)) for r in range(nrows)
     ]
     counts = [0] * (len(mu) + 1)
     remaining = list(mu)
 
     # cells in suffix-reading order: top to bottom, right to left within rows
     cells = [
-        (r, c) for r in range(nrows) for c in range(nu[r] - 1, part(lam, r) - 1, -1)
+        (r, c) for r in range(nrows) for c in range(nu[r] - 1, _part(lam, r) - 1, -1)
     ]
 
     def rec(idx: int):

@@ -47,7 +47,7 @@ from oscitab.polyring import (
     ssot_poly,
 )
 from oscitab.shapes import (
-    northeast,
+    _northeast,
     partitions_of,
     v_set,
 )
@@ -279,7 +279,7 @@ def test_criterion_09_property_suites():
         v, vp = rng.randint(1, 6), rng.randint(1, 6)
         T1, box1 = column_insert(T, v)
         _, box2 = column_insert(T1, vp)
-        assert northeast(box1, box2) == (vp <= v)
+        assert _northeast(box1, box2) == (vp <= v)
 
     # LR symmetry and the product oracle, |nu| <= 6
     ssyt_cache: dict = {}

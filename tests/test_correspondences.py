@@ -21,7 +21,7 @@ from oscitab.oscillating import (
     SSOT,
     _step_events,
     enumerate_ssot,
-    in_N,
+    _in_N,
     ssot_from_events,
     substep_events,
 )
@@ -357,7 +357,7 @@ def test_sundaram_surjective_small():
 def test_weight_preservation_small():
     for lam in ((), (1,), (2,), (1, 1)):
         for n in range(5):
-            if not in_N(lam, n):
+            if not _in_N(lam, n):
                 continue
             for S in enumerate_ssot(lam, n, 3):
                 events = substep_events(S)

@@ -20,7 +20,7 @@ from oscitab.oscillating import (
     enumerate_qyot,
     enumerate_ssot,
     is_quasi_yamanouchi,
-    one_box_moves,
+    _one_box_moves,
     ot_events,
     render_boxes,
     replay_events,
@@ -32,14 +32,7 @@ from oscitab.oscillating import (
     substep_events,
     walk_qyot,
 )
-from oscitab.shapes import (
-    add_box,
-    addable_boxes,
-    is_horizontal_strip,
-    partitions_of,
-    remove_box,
-    removable_boxes,
-)
+from oscitab.shapes import _is_horizontal_strip, partitions_of
 
 
 # ---- independent definitional enumeration, used as an oracle ----------------
@@ -115,9 +108,7 @@ def reference_ots(lam, n):
             if current == lam:
                 out.append(OscillatingTableau(tuple(chain)))
             return
-        candidates = [remove_box(current, b) for b in removable_boxes(current)]
-        candidates += [add_box(current, b) for b in addable_boxes(current)]
-        for nxt in candidates:
+        for _, _, nxt in definitional_moves(current):
             if abs(sum(nxt) - m) > remaining - 1:
                 continue
             chain.append(nxt)
@@ -161,14 +152,36 @@ def validated_ssot(letters, events):
     return SSOT(ssot_from_events(letters, events.boxes, events.kinds).steps)
 
 
+def inside(inner, outer):
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+
+
+def changed_box(a, b):
+    # the one box in which two shapes of adjacent sizes differ
+    rows = range(max(len(a), len(b)))
+    a, b = a + (0,) * (len(rows) - len(a)), b + (0,) * (len(rows) - len(b))
+    ((row, col),) = [(r + 1, max(a[r], b[r])) for r in rows if a[r] != b[r]]
+    return row, col
+
+
+def definitional_moves(shape):
+    # (kind, box, shape reached) per one-box move, from the definition: the partitions
+    # of one box less that the shape contains, rightmost box first, then those of one
+    # box more that contain it, leftmost box first
+    m = sum(shape)
+    smaller = [nu for nu in (partitions_of(m - 1) if m else ()) if inside(nu, shape)]
+    larger = [nu for nu in partitions_of(m + 1) if inside(shape, nu)]
+    deletions = sorted(((DELETE, changed_box(shape, nu), nu) for nu in smaller), key=lambda move: -move[1][1])
+    additions = sorted(((ADD, changed_box(shape, nu), nu) for nu in larger), key=lambda move: move[1][1])
+    return deletions + additions
+
+
 def reference_moves(shape, lam):
-    # one-box moves by the validating shape helpers, each distance from scratch
+    # one-box moves from the definition, each distance from scratch
     def dist(nu):
         return sum(nu) + sum(lam) - 2 * sum(min(a, b) for a, b in zip(nu, lam))
 
-    moves = [(DELETE, b, remove_box(shape, b)) for b in removable_boxes(shape)]
-    moves += [(ADD, b, add_box(shape, b)) for b in addable_boxes(shape)]
-    return [(kind, box, nu, dist(nu)) for kind, box, nu in moves]
+    return [(kind, box, nu, dist(nu)) for kind, box, nu in definitional_moves(shape)]
 
 
 def test_one_box_moves_match_reference():
@@ -176,7 +189,7 @@ def test_one_box_moves_match_reference():
         for shape in partitions_of(m):
             for size in range(6):
                 for lam in partitions_of(size):
-                    assert one_box_moves(shape, lam) == reference_moves(shape, lam), (shape, lam)
+                    assert _one_box_moves(shape, lam) == reference_moves(shape, lam), (shape, lam)
 
 
 def test_listings_match_reference_enumeration():
@@ -258,7 +271,7 @@ def test_ot_validation():
 
 def step_mutations(a, b):
     """Shapes that cannot follow ``a`` where ``b`` does: ``b`` plus a box, ``a`` again, a trailing zero, non-int parts."""
-    yield add_box(b, addable_boxes(b)[0])
+    yield b + (1,)
     yield a
     yield b + (0,)
     if b:
@@ -281,12 +294,10 @@ def test_ot_constructor_accepts_every_reference_chain_and_rejects_step_mutations
 
 
 def reference_ot_events(O):
-    # each step's box found among the removable and addable boxes of the shape before it
+    # each step's box found among the definitional moves of the shape before it
     kinds, boxes = [], []
     for a, b in zip(O.chain, O.chain[1:]):
-        moves = [(DELETE, x) for x in removable_boxes(a) if remove_box(a, x) == b]
-        moves += [(ADD, x) for x in addable_boxes(a) if add_box(a, x) == b]
-        ((kind, box),) = moves
+        ((kind, box),) = [(kind, x) for kind, x, nu in definitional_moves(a) if nu == b]
         kinds.append(kind)
         boxes.append(box)
     return EventTrace(tuple(range(1, O.length + 1)), tuple(boxes), tuple(kinds))
@@ -368,7 +379,7 @@ def segmentation_descents(boxes, kinds):
     # independent oracle: cut positions of the maximal run segmentation,
     # alternating northeast addition chains and reverse-northeast deletion
     # chains, each extended as far as possible
-    from oscitab.shapes import northeast
+    from oscitab.shapes import _northeast
 
     n = len(boxes)
     descents = []
@@ -376,14 +387,14 @@ def segmentation_descents(boxes, kinds):
     while j < n:
         start = j
         while j < n and kinds[j] == ADD and (
-            j == start or northeast(boxes[j - 1], boxes[j])
+            j == start or _northeast(boxes[j - 1], boxes[j])
         ):
             j += 1
         if j < n:
             descents.append(j)
         dstart = j
         while j < n and kinds[j] == DELETE and (
-            j == dstart or northeast(boxes[j], boxes[j - 1])
+            j == dstart or _northeast(boxes[j], boxes[j - 1])
         ):
             j += 1
     return tuple(descents)
@@ -496,6 +507,24 @@ def test_replay_events_rejects_unknown_kinds():
     assert replay_events([(1, 1), (1, 1)], [ADD, DELETE]) == ((), (1,), ())
     with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
         replay_events([(1, 1), (1, 1)], [ADD, "bogus"])
+
+
+def test_replay_events_takes_boxes_of_int_pairs_at_corners():
+    assert replay_events([[1, 1], [1, 2]], [ADD, ADD]) == ((), (1,), (2,))
+    for boxes, kinds in (
+        ([(True, 1)], [ADD]),  # a bool is not a row
+        ([(1, True), (1, 2)], [ADD, ADD]),
+        ([(1, 1.0)], [ADD]),
+        ([(2, 1)], [ADD]),  # not a corner of the shape it reaches
+        ([(1, 1), (1, 2), (1, 1)], [ADD, ADD, DELETE]),
+    ):
+        with pytest.raises(ValueError):
+            replay_events(boxes, kinds)
+    # rows and columns below 1 are not boxes, whatever negative indexing finds
+    for start, box in ((((1, 1), (2, 1), (1, 2)), (0, 1)), (((1, 1), (1, 2), (1, 3), (2, 1)), (-1, 3)), (((1, 1),), (1, 0))):
+        for kind in (ADD, DELETE):
+            with pytest.raises(ValueError):
+                replay_events([*start, box], [ADD] * len(start) + [kind])
 
 
 def test_ssot_from_events_rejects_corrupted_traces():
@@ -678,7 +707,7 @@ def test_enumerate_ot_counts():
     # independent check: brute force over all one-box moves between partitions
     def one_box_apart(a, b):
         bigger, smaller = (a, b) if sum(a) > sum(b) else (b, a)
-        return is_horizontal_strip(smaller, bigger) and sum(bigger) - sum(smaller) == 1 and all(
+        return _is_horizontal_strip(smaller, bigger) and sum(bigger) - sum(smaller) == 1 and all(
             bigger[i] - (smaller[i] if i < len(smaller) else 0) <= 1
             for i in range(len(bigger))
         )
@@ -763,7 +792,7 @@ def test_qyot_bijects_with_ot():
 def test_fiber_weights_are_refinements_of_descents():
     # within one standardization class, the gap-free letter weights are
     # exactly the refinements of the descent composition
-    from oscitab.shapes import is_strong, ref_set
+    from oscitab.shapes import ref_set
 
     for lam, n in (((), 4), ((1,), 5), ((2,), 4), ((1, 1), 6), ((2, 1), 5)):
         fibers: dict = {}
@@ -771,7 +800,7 @@ def test_fiber_weights_are_refinements_of_descents():
             fibers.setdefault(standardize(S).chain, []).append(S)
         for chain, members in fibers.items():
             _, comp, _ = descent_data(members[0])
-            strong_weights = {com(S) for S in members if is_strong(com(S))}
+            strong_weights = {com(S) for S in members if 0 not in com(S)}
             assert strong_weights == set(ref_set(comp)), chain
 
 

@@ -24,9 +24,9 @@ from oscitab.polyring import (
 from oscitab.shapes import (
     _weak_refinements,
     dominance_leq,
-    even_conjugate_partitions,
+    _even_conjugate_partitions,
     flat,
-    in_N,
+    _in_N,
     lambda_bar,
     partitions_of,
     ref_set,
@@ -408,7 +408,10 @@ WRONG_TYPES = {
     "row_word": lambda: tableaux.row_word(None),
     "tableau_shape": lambda: tableaux.tableau_shape(None),
     "superstandard": lambda: tableaux.superstandard(None),
-    "vertical_strip_additions": lambda: shapes.vertical_strip_additions((1, 2), 1.5),
+    "is_vertical_strip": lambda: shapes.is_vertical_strip((1,), (1.5,)),
+    "column_insert": lambda: tableaux.column_insert(None, 1),
+    "SparsePoly.one": lambda: SparsePoly.one(None),
+    "SparsePoly.variable": lambda: SparsePoly.variable(0, None),
 }
 
 
@@ -463,7 +466,7 @@ def test_littlewood_equals_even_conjugate_schur_sum():
         for d in range(7):
             total = SparsePoly(k)
             for size in range(0, d + 1, 2):
-                for beta in even_conjugate_partitions(size):
+                for beta in _even_conjugate_partitions(size):
                     total = total + schur_poly(beta, k)
             assert littlewood_truncated(k, d) == total, (k, d)
 
@@ -490,7 +493,7 @@ def test_ssot_poly_symmetric_small():
     for m in range(4):
         for lam in partitions_of(m):
             for n in range(m, m + 5):
-                if not in_N(lam, n):
+                if not _in_N(lam, n):
                     continue
                 for k in range(1, 5):
                     assert is_symmetric(ssot_poly(lam, n, k)), (lam, n, k)

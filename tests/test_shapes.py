@@ -5,25 +5,21 @@ import pytest
 from oscitab.shapes import (
     _v_set,
     _weak_refinements,
-    add_box,
-    addable_boxes,
     conjugate,
     dominance_leq,
-    even_conjugate_partitions,
+    _even_conjugate_partitions,
     flat,
-    in_N,
+    _in_N,
     is_even_partition,
-    is_horizontal_strip,
+    _is_horizontal_strip,
     is_vertical_strip,
     lambda_bar,
     partitions_of,
     ref_set,
     refines,
-    removable_boxes,
-    remove_box,
     trim,
     v_set,
-    vertical_strip_additions,
+    _vertical_strip_additions,
 )
 
 
@@ -156,19 +152,19 @@ def test_dominance():
 
 
 def test_strips():
-    assert is_horizontal_strip((1,), (3, 1))
+    assert _is_horizontal_strip((1,), (3, 1))
     assert is_vertical_strip((1,), (1, 1, 1))
-    assert not is_horizontal_strip((1,), (2, 2))
-    assert is_horizontal_strip((2, 1), (2, 1))
+    assert not _is_horizontal_strip((1,), (2, 2))
+    assert _is_horizontal_strip((2, 1), (2, 1))
     assert not is_vertical_strip((1,), (3, 1))
-    assert not is_horizontal_strip((3, 1), (2, 1))
+    assert not _is_horizontal_strip((3, 1), (2, 1))
 
 
 def test_in_N():
-    assert in_N((2, 1), 5)
-    assert not in_N((2, 1), 4)
-    assert in_N((), 0)
-    assert not in_N((2, 1), 1)
+    assert _in_N((2, 1), 5)
+    assert not _in_N((2, 1), 4)
+    assert _in_N((), 0)
+    assert not _in_N((2, 1), 1)
 
 
 def test_v_set_paper_examples():
@@ -213,14 +209,14 @@ def test_v_set_members_contain_lambda():
 
 def v_set_by_all_even_strips(lam, n):
     """Breadth-first closure over vertical strips of every even size, the oracle of ``v_set``."""
-    if not in_N(lam, n):
+    if not _in_N(lam, n):
         return ()
     seen, frontier = {lam}, [lam]
     while frontier:
         new = []
         for mu in frontier:
             for size in range(2, n - sum(mu) + 1, 2):
-                for nu in vertical_strip_additions(mu, size):
+                for nu in _vertical_strip_additions(mu, size):
                     if nu not in seen:
                         seen.add(nu)
                         new.append(nu)
@@ -253,7 +249,7 @@ def test_lambda_bar_is_dominance_max():
     for m in range(5):
         for lam in partitions_of(m):
             for n in range(m, m + 5):
-                if not in_N(lam, n):
+                if not _in_N(lam, n):
                     continue
                 bar = lambda_bar(lam, n)
                 shapes = v_set(lam, n)
@@ -289,37 +285,20 @@ def test_v_set_similarity_monotone():
 
 
 def test_vertical_strip_additions():
-    assert set(vertical_strip_additions((3,), 2)) == {(4, 1), (3, 1, 1)}
-    assert set(vertical_strip_additions((), 2)) == {(1, 1)}
-    for nu in vertical_strip_additions((2, 2, 1), 4):
+    assert set(_vertical_strip_additions((3,), 2)) == {(4, 1), (3, 1, 1)}
+    assert set(_vertical_strip_additions((), 2)) == {(1, 1)}
+    for nu in _vertical_strip_additions((2, 2, 1), 4):
         assert is_vertical_strip((2, 2, 1), nu)
         assert sum(nu) == 9
 
 
-def test_box_operations():
-    assert addable_boxes((2, 1)) == [(3, 1), (2, 2), (1, 3)]
-    assert removable_boxes((2, 1)) == [(1, 2), (2, 1)]
-    assert add_box((2, 1), (2, 2)) == (2, 2)
-    assert remove_box((2, 1), (2, 1)) == (2,)
-    with pytest.raises(ValueError):
-        add_box((2, 1), (3, 2))
-    with pytest.raises(ValueError):
-        remove_box((2, 2), (1, 2))
-    # rows and columns below 1 are not boxes, whatever negative indexing finds
-    for lam, box in (((2, 1), (0, 1)), ((3, 1), (-1, 3)), ((2, 1), (1, 0)), ((1,), (0, 0))):
-        with pytest.raises(ValueError):
-            remove_box(lam, box)
-        with pytest.raises(ValueError):
-            add_box(lam, box)
-
-
 def test_even_conjugate_partitions():
-    assert even_conjugate_partitions(4) == ((2, 2), (1, 1, 1, 1))
-    assert even_conjugate_partitions(3) == ()
-    for beta in even_conjugate_partitions(6):
+    assert _even_conjugate_partitions(4) == ((2, 2), (1, 1, 1, 1))
+    assert _even_conjugate_partitions(3) == ()
+    for beta in _even_conjugate_partitions(6):
         assert is_even_partition(conjugate(beta))
     assert all(
-        not is_even_partition(conjugate(beta)) or beta in even_conjugate_partitions(6)
+        not is_even_partition(conjugate(beta)) or beta in _even_conjugate_partitions(6)
         for beta in partitions_of(6)
     )
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from oscitab.shapes import is_partition, northeast, partitions_of, v_set
+from oscitab.shapes import _is_partition, _northeast, partitions_of, v_set
 from oscitab.tableaux import (
     EMPTY,
     check_tableau,
@@ -86,7 +86,7 @@ def test_check_tableau_rejects_non_integer_entries():
 def is_semistandard_by_rows(T):
     """The row-by-row definition, the oracle of ``is_semistandard``."""
     shape = tuple(len(row) for row in T)
-    if not is_partition(shape):
+    if not _is_partition(shape):
         return False
     for row in T:
         if any(type(x) is not int or x < 1 for x in row):
@@ -175,7 +175,7 @@ def test_column_bumping_lemma():
         v, vp = rng.randint(1, 6), rng.randint(1, 6)
         T1, box1 = column_insert(T, v)
         _, box2 = column_insert(T1, vp)
-        assert northeast(box1, box2) == (vp <= v)
+        assert _northeast(box1, box2) == (vp <= v)
 
 
 def test_column_inserting_increasing_values_adds_vertical_strip():

@@ -31,7 +31,7 @@ def test_benchmark_reset_rebuilds_the_transition_tables(monkeypatch):
     for cached in run.Runner(None, run.oscitab_modules()).caches:
         cached.cache_clear()
     calls = []
-    one_box_moves = oscillating.one_box_moves
-    monkeypatch.setattr(oscillating, "one_box_moves", lambda *args: calls.append(args) or one_box_moves(*args))
+    one_box_moves = oscillating._one_box_moves
+    monkeypatch.setattr(oscillating, "_one_box_moves", lambda *args: calls.append(args) or one_box_moves(*args))
     polyring.f_expansion((2, 1), 5, 5)
     assert calls

@@ -28,7 +28,13 @@ CASES = [
         EventTrace,
         {"profile": (1, 1, 2), "boxes": ((1, 1), (1, 2), (1, 2)), "kinds": (ADD, ADD, DELETE)},
         {"profile": (1, 2, 3), "boxes": ((1, 1), (1, 2), (1, 2)), "kinds": (ADD, ADD, DELETE)},
-        [],  # an event trace is a plain record; its builders check it
+        [
+            {"profile": None, "boxes": None, "kinds": None},
+            {"profile": (0,), "boxes": ((1, 1),), "kinds": (ADD,)},
+            {"profile": (1,), "boxes": ((True, 1),), "kinds": (ADD,)},
+            {"profile": (1,), "boxes": ((1, 1),), "kinds": ("move",)},
+            {"profile": (1, 1), "boxes": ((1, 1),), "kinds": (ADD,)},
+        ],
     ),
     (
         Run,
@@ -65,13 +71,24 @@ CASES = [
         SchurExpansion,
         {"degree": 3, "coefficients": MappingProxyType({(3,): 1, (2, 1): 1})},
         {"degree": 3, "coefficients": MappingProxyType({(3,): 1})},
-        [],  # results are plain records; the functions that return them check their input
+        [
+            {"degree": None, "coefficients": None},
+            {"degree": "a", "coefficients": {(1,): "x"}},
+            {"degree": 1, "coefficients": {(1,): "x"}},
+            {"degree": 3, "coefficients": {(2,): 1}},
+            {"degree": 1, "coefficients": [1]},
+        ],
     ),
     (
         LatticePolytopeCheck,
         {"support": ((2, 0), (0, 2)), "polytope_points": ((2, 0), (1, 1), (0, 2)), "snp": False},
         {"support": ((2, 0), (0, 2)), "polytope_points": ((2, 0), (0, 2)), "snp": True},
-        [],
+        [
+            {"support": None, "polytope_points": 1.5, "snp": "x"},
+            {"support": ((2, 0),), "polytope_points": ((2, 0),), "snp": 1},
+            {"support": ((2.0, 0),), "polytope_points": (), "snp": True},
+            {"support": (1, 2), "polytope_points": (), "snp": True},
+        ],
     ),
     (
         SparsePoly,

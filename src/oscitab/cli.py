@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
-from .oscillating import SSOT, _descent_composition
+from .oscillating import SSOT, _descent_composition, _qyot_steps
 from .shapes import Partition, _check_int, _is_partition, v_set
 
 
@@ -113,14 +113,16 @@ _QYOT_ROW = '[\n          "%s"\n        ]'
 def _listed_qyot(lam: Partition, n: int, k: int, limit):
     """The tableaux of ``enumerate-qyot``, at most ``limit`` of them, one pass over the walk.
 
-    Yields each tableau's steps, box rows (as ``render_boxes`` builds them),
-    run (the letters with a bar at each descent, as ``Run`` prints it) and
+    Yields each tableau's OT as ``(chain, kinds, des)`` (its steps are
+    ``_qyot_steps`` of them), box rows (as ``render_boxes`` builds them), run
+    (the letters with a bar at each descent, as ``Run`` prints it) and
     descent composition.  The query must have been checked.
     """
-    for steps, letters, boxes, _, des in islice(oscillating._qyots(lam, n, k), limit):
+    for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
         comp = _descent_composition(des, n)
+        letters = [letter for letter, size in enumerate(comp, 1) for _ in range(size)]
         run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
-        yield steps, oscillating._box_rows(letters, boxes), run, comp
+        yield (chain, kinds, des), oscillating._box_rows(letters, boxes), run, comp
 
 
 def cmd_enumerate_qyot(args) -> None:
@@ -141,12 +143,12 @@ def cmd_enumerate_qyot(args) -> None:
 
     text = _dumps({"partition": list(lam), "length": args.n, "max_step": args.k, "count": count, "tableaux": []})
     separator = text[: -len("[]\n}")] + "["  # the tableaux come last, so their empty list ends the text
-    for steps, rows, run, comp in listed:
+    for ot, rows, run, comp in listed:
         sys.stdout.write(
             separator
             + _QYOT_ITEM
             % (
-                _list_text([_QYOT_STEP % (shape(d), shape(r)) for d, r in steps], "\n      "),
+                _list_text([_QYOT_STEP % (shape(d), shape(r)) for d, r in _qyot_steps(*ot)], "\n      "),
                 _list_text([_QYOT_ROW % '",\n          "'.join(row) for row in rows], "\n      "),
                 run,
                 _list_text(list(map(str, comp)), "\n      "),

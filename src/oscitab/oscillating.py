@@ -237,7 +237,7 @@ def _events_of(x) -> EventTrace:
     raise ValueError(f"expected SSOT, OscillatingTableau or EventTrace, got {type(x).__name__}")
 
 
-def is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
+def _is_descent(kind1: str, box1: Box, kind2: str, box2: Box) -> bool:
     """True when a new step must start between two consecutive events.
 
     Two additions descend when the second box is not northEast of the first;
@@ -256,7 +256,7 @@ def descent_positions(events: EventTrace) -> tuple[int, ...]:
     boxes, kinds = events.boxes, events.kinds
     out = []
     for j in range(1, len(boxes)):
-        if is_descent(kinds[j - 1], boxes[j - 1], kinds[j], boxes[j]):
+        if _is_descent(kinds[j - 1], boxes[j - 1], kinds[j], boxes[j]):
             out.append(j)
     return tuple(out)
 
@@ -370,7 +370,7 @@ class _Table(dict):
     event that reached it, ``((), None, None)`` before the first event.
     ``table[state]`` lists, in ``_one_box_moves`` order, one
     ``(state', descends, dist)`` per event from the shape: the state it
-    reaches, whether ``is_descent`` puts a descent between the two events,
+    reaches, whether ``_is_descent`` puts a descent between the two events,
     and the distance of the new shape to ``lam``.  An entry is stored whole,
     so a walk stopped part way leaves only complete entries behind.
     """
@@ -385,7 +385,7 @@ class _Table(dict):
         shape, kind, box = state
         moves = self.moves.get(shape) or self.moves.setdefault(shape, _one_box_moves(shape, self.lam))
         out = self[state] = [
-            ((nxt, kind2, box2), kind is not None and is_descent(kind, box, kind2, box2), dist)
+            ((nxt, kind2, box2), kind is not None and _is_descent(kind, box, kind2, box2), dist)
             for kind2, box2, nxt, dist in moves
         ]
         return out
@@ -477,20 +477,6 @@ def _qyot_steps(chain, kinds, des) -> tuple[tuple[Partition, Partition], ...]:
     return _steps(chain, _deletions(kinds), (*des, len(kinds)))
 
 
-def _qyots(lam: Partition, n: int, max_step: int):
-    """Per OT of the walk, its quasi-Yamanouchi SSOT as ``(steps, letters, boxes, kinds, des)``.
-
-    ``letters`` labels each event by its step, one higher after each of the
-    OT's descent positions ``des``.  The query must have been checked.
-    """
-    for chain, boxes, kinds, des in _walk(lam, n, max_step):
-        letters, u = [], 1
-        for j in range(1, n + 1):
-            letters.append(u)
-            u += j in des  # the next event starts a new step
-        yield _qyot_steps(chain, kinds, des), letters, boxes, kinds, des
-
-
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
     """All oscillating tableaux of the given shape and length, in a fixed order.
 
@@ -524,20 +510,6 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
     return out
 
 
-def walk_qyot(lam: Partition, n: int, max_step: int) -> Iterator[tuple[SSOT, EventTrace, tuple[int, ...]]]:
-    """The tableaux of ``enumerate_qyot``, lazily and in the same order, each with its events and descents.
-
-    Yields ``(Q, events, des)``: the quasi-Yamanouchi SSOT, its event trace
-    (``substep_events(Q)``) and its descent positions.  The query is checked
-    at the call, before anything is listed.
-    """
-    lam = check_tableau_query(lam, n, max_step, "max_step")
-    return (
-        (SSOT._of(steps), EventTrace._of(tuple(letters), boxes, kinds), des)
-        for steps, letters, boxes, kinds, des in _qyots(lam, n, max_step)
-    )
-
-
 def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
     """All quasi-Yamanouchi SSOTs of step at most ``max_step``; one per OT of that step.
 
@@ -546,7 +518,7 @@ def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
     with more than ``max_step`` runs.
     """
     lam = check_tableau_query(lam, n, max_step, "max_step")
-    return [SSOT._of(steps) for steps, _, _, _, _ in _qyots(lam, n, max_step)]
+    return [SSOT._of(_qyot_steps(chain, kinds, des)) for chain, _, kinds, des in _walk(lam, n, max_step)]
 
 
 def render_boxes(x) -> list[list[str]]:

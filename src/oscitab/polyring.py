@@ -94,11 +94,14 @@ class SparsePoly(_Record):
         return SparsePoly._of(self.nvars, {exp: c * coef for exp, coef in self.terms.items()})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        self._check_compatible(other)  # a TypeError for a non-polynomial, as Python operators raise
         return self.truncated_mul(other, None)
 
     def truncated_mul(self, other: "SparsePoly", maxdeg: int | None) -> "SparsePoly":
         """Product with all terms of total degree above ``maxdeg`` dropped (none when ``None``)."""
-        self._check_compatible(other)
+        self._check_compatible(_check_instance(other, SparsePoly, "a SparsePoly"))
+        if maxdeg is not None:
+            _check_int(maxdeg, "maxdeg", 0)
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
@@ -118,7 +121,7 @@ class SparsePoly(_Record):
         return len(degrees) <= 1
 
     def evaluate(self, point) -> int:
-        point = _tuple_of(point, "point")
+        point = _tuple_of(point, "point", lambda x: _check_int(x, "a coordinate"))
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")
         total = 0

@@ -172,8 +172,10 @@ def is_even_partition(lam: Partition) -> bool:
 
 
 def trim(c) -> Composition:
-    """Canonical form of a composition: drop trailing zeros; ``ValueError`` if ``c`` is not iterable."""
+    """Canonical form of a composition: drop trailing zeros; ``ValueError`` unless ``c`` is an iterable of ``int``s."""
     c = c if type(c) is tuple else _tuple_of(c, "shape or composition")
+    if not all(type(p) is int for p in c):
+        raise ValueError(f"malformed shape or composition: {c!r}")
     end = len(c)
     while end > 0 and c[end - 1] == 0:
         end -= 1
@@ -329,7 +331,7 @@ def _vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
 
     def rec(i: int, remaining: int, prev: int, acc: list[int]):
         if remaining == 0:
-            results.append(trim(tuple(acc) + lam[i:]))
+            results.append(tuple(acc) + lam[i:])  # every part is at least 1
             return
         if i == nrows or remaining > nrows - i:
             return

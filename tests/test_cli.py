@@ -36,6 +36,10 @@ GOLDEN_CASES = [
     ("ssot_poly_21_5_2.json.txt", ["ssot-poly", "2,1", "5", "2", "--json"]),
     ("vset_21_7.json.txt", ["vset", "2,1", "7", "--json"]),
     ("n0_3_111.json.txt", ["n0", "3", "1,1,1", "--json"]),
+    ("expand_schur_21_5.txt", ["expand-schur", "2,1", "5"]),
+    ("inner_3_111_5.txt", ["inner-product", "3", "1,1,1", "5"]),
+    ("independence_3_5.txt", ["independence", "3", "5"]),
+    ("snp_21_5_3.txt", ["snp", "2,1", "5", "3"]),
 ]
 
 

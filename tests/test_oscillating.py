@@ -30,7 +30,6 @@ from oscitab.oscillating import (
     ssot_to_dict,
     standardize,
     substep_events,
-    walk_qyot,
 )
 from oscitab.shapes import _is_horizontal_strip, partitions_of
 
@@ -206,22 +205,12 @@ def test_listings_match_reference_enumeration():
                         if len(des) + 1 <= k or n == 0
                     ]
                     assert enumerate_qyot(lam, n, k) == qyots, (lam, n, k)
-                    assert [Q for Q, _, _ in walk_qyot(lam, n, k)] == qyots
                     ssots = [
                         validated_ssot(u, events)
                         for events, des in traced
                         for u in reference_labelings(n, set(des), k)
                     ]
                     assert enumerate_ssot(lam, n, k) == ssots, (lam, n, k)
-
-
-def test_walk_yields_the_events_and_descents_of_each_tableau():
-    for lam, n, k in (((2, 1), 5, 3), ((), 4, 4), ((1,), 5, 2), ((), 0, 1), ((1, 1), 6, 6)):
-        for Q, events, des in walk_qyot(lam, n, k):
-            assert events == substep_events(Q)
-            assert frozenset(des) == descent_data(Q)[0]
-    with pytest.raises(ValueError):
-        walk_qyot((2, 1), 5, 0)  # checked at the call, before the first tableau
 
 
 def test_trusted_tableaux_pass_public_constructors():
@@ -343,6 +332,7 @@ def test_substep_events_sundaram_example():
     assert deletions == {5, 6, 10}
     assert com(S) == (1, 2, 1, 3, 1, 1, 1)
     assert render_boxes(S) == [["1", "244"], ["2", "57"], ["346"]]
+    assert render_boxes(events) == render_boxes(S)  # an event trace is read as it is
 
 
 def test_single_addition():
@@ -367,6 +357,15 @@ def test_descent_data_paper_examples():
     )
     assert descent_data(O2) == (frozenset({3}), (3, 6), 2)
     assert str(run_of(O2)) == "123|456789"
+    # an event trace is read as it is: the events of O2 with their letters 1..9
+    events = EventTrace(
+        range(1, 10),
+        ((1, 1), (1, 2), (1, 3), (1, 3), (1, 2), (2, 1), (1, 2), (1, 3), (1, 4)),
+        (ADD, ADD, ADD, DELETE, DELETE, ADD, ADD, ADD, ADD),
+    )
+    assert events == ot_events(O2)
+    assert descent_data(events) == descent_data(O2)
+    assert run_of(events) == run_of(O2)
 
     O3 = OscillatingTableau(((), (1,), (2,), (3,)))
     assert descent_data(O3) == (frozenset(), (3,), 1)

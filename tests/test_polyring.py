@@ -412,6 +412,9 @@ WRONG_TYPES = {
     "column_insert": lambda: tableaux.column_insert(None, 1),
     "SparsePoly.one": lambda: SparsePoly.one(None),
     "SparsePoly.variable": lambda: SparsePoly.variable(0, None),
+    "SparsePoly.truncated_mul_other": lambda: SparsePoly(2, {(1, 0): 1}).truncated_mul(None, 2),
+    "SparsePoly.truncated_mul_maxdeg": lambda: SparsePoly(2, {(1, 0): 1}).truncated_mul(SparsePoly(2), "3"),
+    "SparsePoly.evaluate": lambda: SparsePoly(2, {(1, 0): 1}).evaluate(("a", "b")),
 }
 
 
@@ -419,6 +422,13 @@ WRONG_TYPES = {
 def test_arguments_of_the_wrong_type_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_operators_on_a_non_polynomial_raise_type_error():
+    f = SparsePoly(2, {(1, 0): 1})
+    for call in (lambda: f * 3, lambda: f + 3, lambda: f - None):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_gessel_expansion_of_schur():

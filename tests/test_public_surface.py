@@ -1,7 +1,8 @@
 """Every public entry point of the library ends in a result or a ``ValueError``, whatever it is given.
 
 The targets are found through ``vars(module)``, so a new public function,
-record or classmethod is probed without being listed here.
+record, classmethod or method is probed without being listed here; a new
+record needs one value in ``SAMPLES`` for its methods to be called on.
 """
 
 import inspect
@@ -15,6 +16,20 @@ MODULES = (shapes, tableaux, oscillating, polyring, analysis, correspondences)
 
 # wrong types, wrong values and a few right ones, tried at every required argument
 CORPUS = (None, 1.5, True, "3", (1, 2), (-1,), [2, 1], 0, -1, (), ((1,),), 3)
+
+
+# one value of each record, built through its public constructor, whose methods are probed
+SAMPLES = {
+    oscillating.OscillatingTableau: oscillating.OscillatingTableau(((), (1,), (2,))),
+    oscillating.EventTrace: oscillating.EventTrace((1, 1), ((1, 1), (1, 2)), ("add", "add")),
+    oscillating.Run: oscillating.Run((1, 2), {1}),
+    oscillating.SSOT: oscillating.SSOT((((), (2,)),)),
+    polyring.SparsePoly: polyring.SparsePoly(2, {(1, 0): 1, (0, 2): -3}),
+    analysis.SchurExpansion: analysis.SchurExpansion(2, {(2,): 1, (1, 1): 2}),
+    analysis.LatticePolytopeCheck: analysis.LatticePolytopeCheck(((1, 0), (0, 1)), ((1, 0), (0, 1)), True),
+    correspondences.TwoRowArray: correspondences.TwoRowArray(((2, 1), (3, 1))),
+    correspondences.SundaramPair: correspondences.SundaramPair(correspondences.TwoRowArray(((2, 1),)), ((1, 3),)),
+}
 
 
 def required(fn) -> int:
@@ -31,7 +46,8 @@ def public(module):
 
 
 def targets():
-    """``(name, callable, arity)``: functions of at most 3 required arguments, records at full arity, their classmethods."""
+    """``(name, callable, arity)``: functions of at most 3 required arguments, records at full arity, their
+    classmethods, and their methods bound to the record's sample."""
     for module in MODULES:
         for name, obj in public(module):
             if inspect.isfunction(obj):
@@ -42,6 +58,9 @@ def targets():
                 for attr, raw in vars(obj).items():
                     if not attr.startswith("_") and isinstance(raw, classmethod):
                         yield f"{name}.{attr}", getattr(obj, attr), required(getattr(obj, attr))
+                    elif not attr.startswith("_") and inspect.isfunction(raw):
+                        method = getattr(SAMPLES[obj], attr)
+                        yield f"{name}().{attr}", method, required(method)
 
 
 def test_every_public_entry_point_ends_in_a_result_or_value_error():

@@ -307,3 +307,6 @@ def test_trim():
     assert trim((2, 0)) == (2,)
     assert trim((0, 2, 0)) == (0, 2)
     assert trim(()) == ()
+    for bad in ("3", [None], (2, 1.0), (True,)):
+        with pytest.raises(ValueError):
+            trim(bad)

@@ -46,8 +46,10 @@ def public(module):
 
 
 def targets():
-    """``(name, callable, arity)``: functions of at most 3 required arguments, records at full arity, their
-    classmethods, and their methods bound to the record's sample."""
+    """``(name, callable, arity)``: functions of at most 3 required arguments, records at full arity.
+
+    Of each record also its classmethods, and its methods bound to its value in ``SAMPLES``.
+    """
     for module in MODULES:
         for name, obj in public(module):
             if inspect.isfunction(obj):

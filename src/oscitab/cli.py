@@ -3,14 +3,16 @@
 Partitions are passed as comma-separated parts (``2,1``; ``-`` for the empty
 partition), Burge pairs as ``top,bottom`` arguments, SSOTs as JSON files in
 the step-pair encoding.  Identical invocations produce byte-identical output.
+``COMMANDS`` states every subcommand, and ``build_parser`` reads the command
+line against it as the ``argparse`` front end it replaced read it, without
+importing ``argparse``; ``json`` is imported only to read an SSOT file.
 """
 
-import argparse
 import functools
-import json
 import sys
+from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from itertools import islice
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
@@ -93,6 +95,8 @@ def emit_json(obj) -> None:
 
 
 def load_ssot(path: str) -> SSOT:
+    import json  # imported here: the other commands parse no JSON
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -312,75 +316,239 @@ def cmd_vset(args) -> None:
         print(fmt_parts(nu))
 
 
+# each command: its function, its help, its positionals and its options.  The
+# positionals in INTS are read with int; one ending in "+" takes one or more
+# arguments, in one unbroken run.
+COMMANDS = {
+    "enumerate-qyot": (
+        cmd_enumerate_qyot,
+        "list quasi-Yamanouchi SSOTs with their runs",
+        ("partition", "n", "k"),
+        ("--json", "--limit"),
+    ),
+    "expand-f": (
+        cmd_expand_f,
+        "fundamental quasi-symmetric expansion of an SSOT polynomial",
+        ("partition", "n", "k"),
+        ("--json",),
+    ),
+    "expand-schur": (cmd_expand_schur, "Schur expansion of an SSOT function", ("partition", "n"), ("--json",)),
+    "ssot-poly": (cmd_ssot_poly, "SSOT generating polynomial in k variables", ("partition", "n", "k"), ("--json",)),
+    "burge": (cmd_burge, "Burge tableau of a Burge array given as top,bottom pairs", ("pairs+",), ("--json",)),
+    "sundaram": (
+        cmd_sundaram,
+        "Sundaram pair of an SSOT read from a JSON file in the step-pair encoding",
+        ("ssot",),
+        ("--json", "--trace"),
+    ),
+    "inner-product": (
+        cmd_inner_product,
+        "Hall inner product of two SSOT functions",
+        ("lhs", "rhs", "n"),
+        ("--json",),
+    ),
+    "n0": (cmd_n0, "similarity threshold of two shapes", ("lhs", "rhs"), ("--json",)),
+    "independence": (
+        cmd_independence,
+        "rank of the Schur-coefficient matrix for all shapes of a size",
+        ("m", "n"),
+        ("--json",),
+    ),
+    "snp": (cmd_snp, "saturated-Newton-polytope check of an SSOT polynomial", ("partition", "n", "k"), ("--json",)),
+    "vset": (cmd_vset, "shapes reachable by adding even vertical strips", ("partition", "n"), ("--json",)),
+}
+INTS = ("n", "k", "m")
+# each option's default and help; an option whose default is None takes an int, the others are flags
+OPTIONS = {
+    "--json": (False, "machine-readable output"),
+    "--limit": (None, "list at most this many tableaux"),
+    "--trace": (False, "print every intermediate array and tableau"),
+}
+
+
+def _fail(usage: str, message: str):
+    sys.stderr.write(f"{usage}\noscitab: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _int(name: str, text: str, usage: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        _fail(usage, f"argument {name}: invalid int value: {text!r}")
+
+
+def _is_negative_number(arg: str) -> bool:
+    """Whether argparse reads ``arg`` as a negative number.
+
+    That is ``-`` and then digits, or ``-``, optional digits, a point and
+    digits; the digits are Unicode decimal digits, and one final newline may
+    follow.
+    """
+    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    head, dot, tail = body.partition(".")
+    return body.isdecimal() or bool(dot) and tail.isdecimal() and (not head or head.isdecimal())
+
+
+def _read_option(arg: str, names: tuple, usage: str):
+    """``arg`` read against the long options ``names`` and ``-h``, as ``argparse`` reads it.
+
+    None for a positional: an argument that does not start with ``-``, ``-``
+    and ``--`` themselves, a negative number and one with a space that no
+    option takes.  Otherwise ``(name, value)``: the option (``--help`` for
+    ``-h``), or None for an unknown one, and the text it carries after ``=``
+    (or after ``-h``: ``-hh`` is ``-h`` twice, ``-hx`` an ``x`` that help
+    rejects), or None.  A long option may be cut to a unique prefix.
+    """
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg[1] == "-":
+        name, eq, value = arg.partition("=")
+        found = [name] if name in names else [o for o in names if o.startswith(name)]
+        if len(found) > 1:
+            _fail(usage, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif arg[1] == "h":
+        return "--help", arg[2:].lstrip("h") or None
+    elif _is_negative_number(arg):
+        return None
+    return None if " " in arg else (None, None)
+
+
+class _Parser:
+    """The command line that ``COMMANDS`` states, read as the ``argparse`` front end it replaced read it.
+
+    Before the command only ``-h``/``--help`` is an option.  After it,
+    options go before, between or after the positionals, ``--limit`` takes
+    ``N`` or ``=N``, and every argument after ``--`` is a positional.
+    ``-h`` prints help to stdout and exits 0; a usage error prints the usage
+    and the error to stderr and exits 2.
+    """
+
+    def __init__(self):
+        self.usage = {None: "usage: oscitab [-h] {%s} ..." % ",".join(COMMANDS)}
+        for name, (_, _, positionals, options) in COMMANDS.items():
+            words = [f"[{o}]" if OPTIONS[o][0] is False else f"[{o} {o[2:].upper()}]" for o in options]
+            words += [f"{p[:-1]} [{p[:-1]} ...]" if p.endswith("+") else p for p in positionals]
+            self.usage[name] = " ".join(["usage: oscitab", name, "[-h]", *words])
+
+    def help(self, command) -> str:
+        """The help of ``command``, or of the program for None."""
+        if command is None:
+            width = max(map(len, COMMANDS)) + 2
+            return "\n".join(
+                [
+                    self.usage[None],
+                    "",
+                    "Combinatorics of semistandard oscillating tableaux with exact arithmetic.",
+                    "",
+                    "commands:",
+                    *[f"  {name:<{width}}{spec[1]}" for name, spec in COMMANDS.items()],
+                    "",
+                    "Run 'oscitab COMMAND -h' for the arguments of a command.",
+                    "",
+                ]
+            )
+        _, text, _, options = COMMANDS[command]
+        labels = {"-h, --help": "show this help and exit"}
+        for o in options:
+            default, option_help = OPTIONS[o]
+            labels[o if default is False else f"{o} {o[2:].upper()}"] = option_help
+        width = max(map(len, labels)) + 2
+        rows = [f"  {label:<{width}}{option_help}" for label, option_help in labels.items()]
+        return "\n".join([self.usage[command], "", text, "", "options:", *rows, ""])
+
+    def _act_on_help(self, value, command, usage):
+        if value is not None:
+            _fail(usage, f"argument -h/--help: ignored explicit argument {value!r}")
+        sys.stdout.write(self.help(command))
+        raise SystemExit(0)
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        usage = self.usage[None]
+        unknown = []
+        for i, arg in enumerate(argv):
+            option = _read_option(arg, ("--help",), usage)
+            if option is None:
+                break
+            if option[0] is None:
+                unknown.append(arg)
+            else:
+                self._act_on_help(option[1], None, usage)
+        else:
+            _fail(usage, "the following arguments are required: command")
+        if arg not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            _fail(usage, f"argument command: invalid choice: {arg!r} (choose from {choices})")
+        args = self._parse_command(arg, argv[i + 1 :], unknown)
+        if unknown:
+            _fail(self.usage[arg], f"unrecognized arguments: {' '.join(unknown)}")
+        return args
+
+    def _parse_command(self, command: str, argv: list, unknown: list) -> SimpleNamespace:
+        fn, _, positionals, options = COMMANDS[command]
+        usage = self.usage[command]
+        names = ("--help", *options)
+        end = argv.index("--") if "--" in argv else len(argv)
+        read = [_read_option(arg, names, usage) for arg in argv[:end]]  # all read before any is acted on
+        args = {"command": command, "fn": fn, **{o[2:]: OPTIONS[o][0] for o in options}}
+        waiting = list(positionals)
+        run = None  # the "+" positional taking the current run of positionals
+        positional = False  # whether the argument just read went to a positional
+        taken = None  # the index of the argument an option took as its value
+        for i, arg in enumerate(argv):
+            if i == taken:
+                continue
+            if i == end:  # "--"; argparse finds no place for a final one right after the command or an option
+                if i + 1 == len(argv) and not positional:
+                    unknown.append(arg)
+                continue
+            option = read[i] if i < end else None
+            positional = option is None
+            if positional:
+                if run is not None:
+                    args[run].append(arg)
+                elif not waiting:
+                    unknown.append(arg)
+                elif waiting[0].endswith("+"):
+                    run = waiting.pop(0)[:-1]
+                    args[run] = [arg]
+                else:
+                    name = waiting.pop(0)
+                    args[name] = _int(name, arg, usage) if name in INTS else arg
+                continue
+            run = None  # an option ends the run
+            name, value = option
+            if name is None:
+                unknown.append(arg)
+            elif name == "--help":
+                self._act_on_help(value, command, usage)
+            elif OPTIONS[name][0] is False:
+                if value is not None:
+                    _fail(usage, f"argument {name}: ignored explicit argument {value!r}")
+                args[name[2:]] = True
+            else:
+                if value is None:
+                    if i + 1 >= end or read[i + 1] is not None:
+                        _fail(usage, f"argument {name}: expected one argument")
+                    taken = i + 1
+                    value = argv[taken]
+                args[name[2:]] = _int(name, value, usage)
+        missing = [p.rstrip("+") for p in waiting]
+        if missing:
+            _fail(usage, f"the following arguments are required: {', '.join(missing)}")
+        return SimpleNamespace(**args)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oscitab",
-        description="Combinatorics of semistandard oscillating tableaux with exact arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("enumerate-qyot", cmd_enumerate_qyot, "list quasi-Yamanouchi SSOTs with their runs")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--limit", type=int, default=None, help="list at most this many tableaux")
-
-    p = add("expand-f", cmd_expand_f, "fundamental quasi-symmetric expansion of an SSOT polynomial")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = add("expand-schur", cmd_expand_schur, "Schur expansion of an SSOT function")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-
-    p = add("ssot-poly", cmd_ssot_poly, "SSOT generating polynomial in k variables")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = add("burge", cmd_burge, "Burge tableau of a Burge array")
-    p.add_argument("pairs", nargs="+", metavar="top,bottom")
-
-    p = add("sundaram", cmd_sundaram, "Sundaram pair of an SSOT read from a JSON file")
-    p.add_argument("ssot", help="path to a JSON file with the step-pair encoding")
-    p.add_argument("--trace", action="store_true", help="print every intermediate array and tableau")
-
-    p = add("inner-product", cmd_inner_product, "Hall inner product of two SSOT functions")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.add_argument("n", type=int)
-
-    p = add("n0", cmd_n0, "similarity threshold of two shapes")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = add("independence", cmd_independence, "rank of the Schur-coefficient matrix for all shapes of a size")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = add("snp", cmd_snp, "saturated-Newton-polytope check of an SSOT polynomial")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = add("vset", cmd_vset, "shapes reachable by adding even vertical strips")
-    p.add_argument("partition")
-    p.add_argument("n", type=int)
-
-    return parser
+def build_parser() -> _Parser:
+    return _Parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except ValueError as exc:

@@ -170,11 +170,17 @@ class SparsePoly(_Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparsePoly":
+        """The polynomial that ``to_dict`` encodes: each coefficient a decimal-integer string, no exponent twice."""
         try:
-            return cls(
-                data["nvars"],
-                {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]},
-            )
+            terms = {}
+            for t in data["terms"]:
+                exp, coef = tuple(t["exp"]), t["coef"]
+                if type(coef) is not str or not (coef.isascii() and coef.removeprefix("-").isdigit()):
+                    raise ValueError(f"malformed polynomial encoding: coefficient {coef!r} is not a decimal-integer string")
+                if exp in terms:
+                    raise ValueError(f"malformed polynomial encoding: exponent {list(exp)} appears twice")
+                terms[exp] = int(coef)
+            return cls(data["nvars"], terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial encoding: {exc}") from exc
 

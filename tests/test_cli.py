@@ -1,10 +1,12 @@
+import argparse
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from oscitab import correspondences, oscillating
+from oscitab import cli, correspondences, oscillating
 from oscitab.cli import _dumps, build_parser, main, parse_partition
 from oscitab.oscillating import descent_data, enumerate_qyot, render_boxes, run_of, ssot_to_dict
 
@@ -283,6 +285,213 @@ def test_parser_is_built_once(capsys):
     assert main(["vset", "2,1", "5", "--json"]) == 0
     assert main(["vset", "2,1", "5"]) == 0
     assert capsys.readouterr().out.endswith("}\n3,2\n3,1,1\n2,2,1\n2,1,1,1\n")
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argparse front end that ``cli`` had before its own parser, built from ``cli.COMMANDS``: the oracle."""
+    parser = argparse.ArgumentParser(prog="oscitab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, positionals, options) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        for option in options:
+            default, option_help = cli.OPTIONS[option]
+            if default is False:
+                p.add_argument(option, action="store_true", help=option_help)
+            else:
+                p.add_argument(option, type=int, default=default, help=option_help)
+        for positional in positionals:
+            if positional.endswith("+"):
+                p.add_argument(positional[:-1], nargs="+")
+            else:
+                p.add_argument(positional, type=int if positional in cli.INTS else None)
+    return parser
+
+
+def parse_outcome(parser, argv, capsys):
+    """``vars`` of what ``parser`` reads from ``argv``, or the exit code it raises with its stdout."""
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+    return vars(args)
+
+
+VALID_ARGV = [
+    ["vset", "2,1", "7"],
+    ["vset", "--json", "2,1", "7"],
+    ["vset", "2,1", "--json", "7"],
+    ["vset", "2,1", "7", "--json"],
+    ["vset", "2,1", "7", "--json", "--json"],
+    ["vset", "--js", "2,1", "7"],
+    ["vset", "2,1", "7", "--j"],
+    ["vset", "-", "4"],
+    ["vset", "2,1", "-3"],
+    ["vset", "2,1", "-3\n"],
+    ["vset", "2,1", "-\u0663"],  # an Arabic-Indic digit: int reads it, and so does argparse's number test
+    ["vset", "2,1", "+4"],
+    ["vset", "-a b", "3"],
+    ["vset", "--x y", "3"],
+    ["vset", "-.5", "3"],
+    ["vset", "", "3"],
+    ["vset", "--", "2,1", "7"],
+    ["vset", "2,1", "--", "-3"],
+    ["vset", "2,1", "7", "--"],
+    ["vset", "2,1", "--json", "--", "7"],
+    ["vset", "--", "--", "7"],
+    ["vset", "--", "--=x", "7"],  # after "--" even an ambiguous option is a positional
+    ["independence", "-1", "1"],
+    ["independence", "3", "5", "--json"],
+    ["n0", "--json", "--", "-", "--json"],
+    ["inner-product", "3", "--json", "1,1,1", "5"],
+    ["expand-f", "2,1", "5", "3"],
+    ["expand-schur", "2,1", "5"],
+    ["ssot-poly", "--json", "2,1", "5", "2"],
+    ["snp", "2,1", "5", "3", "--json"],
+    ["enumerate-qyot", "2,1", "5", "3"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "2"],
+    ["enumerate-qyot", "--limit=2", "2,1", "5", "3"],
+    ["enumerate-qyot", "2,1", "--lim", "2", "5", "3", "--json"],
+    ["enumerate-qyot", "2,1", "5", "--l=0", "3"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "-12"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "2", "--limit", "5"],
+    ["enumerate-qyot", "--limit", "5", "--", "2,1", "5", "3"],
+    ["burge", "4,2", "4,3", "7,2"],
+    ["burge", "--json", "4,2", "4,3"],
+    ["burge", "4,2", "4,3", "--json"],
+    ["burge", "4,2", "--", "4,3"],
+    ["burge", "--", "-1,2", "--json"],
+    ["sundaram", "ssot.json"],
+    ["sundaram", "--trace", "ssot.json", "--json"],
+    ["sundaram", "ssot.json", "--t", "--js"],
+]
+
+USAGE_ERRORS = [
+    [],
+    ["not-a-command"],
+    ["vse", "2,1", "7"],
+    ["--", "vset", "2,1", "7"],
+    ["--json", "vset", "2,1", "7"],
+    ["--threads", "4", "n0", "3", "1,1,1"],
+    ["n0", "3", "1,1,1", "--threads", "4"],
+    ["vset"],
+    ["vset", "2,1"],
+    ["vset", "2,1", "7", "8"],
+    ["vset", "2,1", "x"],
+    ["vset", "2,1", "7.0"],
+    ["vset", "2,1", "x", "-h"],  # the bad n is read before the help
+    ["vset", "--json=1", "2,1", "7"],
+    ["vset", "--json=", "2,1", "7"],
+    ["vset", "--=x", "2,1", "7"],
+    ["vset", "-x", "2,1", "7"],
+    ["vset", "2,1", "-1,2"],
+    ["vset", "2,1", "7", "-hx"],
+    ["vset", "2,1", "7", "-h=1"],
+    ["vset", "--limit", "3", "2,1", "7"],
+    ["vset", "--", "2,1", "7", "--json"],
+    ["vset", "2,1", "7", "--json", "--"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "--json"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "x"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "-5\t"],  # an unknown option to argparse, though int reads it
+    ["enumerate-qyot", "2,1", "5", "3", "--limit="],
+    ["enumerate-qyot", "--limit", "--", "3", "2,1", "5", "3"],
+    ["enumerate-qyot", "2,1", "5", "3", "--limit", "2", "--"],
+    ["enumerate-qyot", "2,1"],
+    ["burge"],
+    ["burge", "--json"],
+    ["burge", "4,2", "--json", "4,3"],
+    ["burge", "--json", "--"],
+    ["sundaram"],
+    ["sundaram", "ssot.json", "--trace=1"],
+    ["sundaram", "ssot.json", "--limit", "2"],
+]
+
+HELP_ARGV = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-hh"],
+    ["-h", "not-a-command"],
+    ["--threads", "-h"],
+    ["vset", "-h"],
+    ["vset", "2,1", "--help"],
+    ["vset", "2,1", "7", "8", "-h"],  # an extra positional is reported only after the whole line is read
+    ["enumerate-qyot", "--limit", "2", "--h"],
+    ["burge", "4,2", "-h", "4,3"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_parser_matches_argparse(argv, capsys):
+    args = build_parser().parse_args(argv)
+    assert type(args) is SimpleNamespace
+    assert vars(args) == vars(argparse_parser().parse_args(argv))
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_match_argparse(argv, capsys):
+    assert parse_outcome(argparse_parser(), argv, capsys) == (2, "")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: oscitab") and "\noscitab: error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_matches_argparse(argv, capsys):
+    assert parse_outcome(argparse_parser(), argv, capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: oscitab") and captured.err == ""
+
+
+def test_help_is_built_from_the_command_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert all(name in out and help_text in out for name, (_, help_text, _, _) in cli.COMMANDS.items())
+    for name, (_, help_text, positionals, options) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([name, "-h"])
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: oscitab {name} [-h]") and help_text in out
+        assert all(p.rstrip("+") in out.splitlines()[0] for p in positionals)
+        assert all(o in out and cli.OPTIONS[o][1] in out for o in options)
+
+
+ARGV_PIECES = [
+    *cli.COMMANDS, "2,1", "4,2", "7", "3", "-3", "-", "--", "", "x", "-1,2", "-a b", "-.5", "+4",
+    "--json", "--js", "--j=1", "--limit", "--limit=2", "--lim", "--limit=", "--trace", "--t", "--threads",
+    "-h", "--help", "--h", "-hh", "-hx", "-x", "--=x", "---",
+]
+
+
+def test_random_argv_match_argparse(capsys):
+    # argparse drops the first "--" from each positional's arguments, so after
+    # "vset 2,1 -- --" it sets n to []; argv with two "--" are left out
+    rng = random.Random(20261019)
+    oracle, parser = argparse_parser(), build_parser()
+    outcomes = set()
+    for _ in range(1500):
+        argv = [rng.choice(list(cli.COMMANDS))] if rng.random() < 0.8 else []
+        argv += [rng.choice(ARGV_PIECES) for _ in range(rng.randrange(6))]
+        if argv.count("--") > 1:
+            continue
+        expected = parse_outcome(oracle, argv, capsys)
+        got = parse_outcome(parser, argv, capsys)
+        if isinstance(expected, tuple):
+            assert isinstance(got, tuple) and got[0] == expected[0], argv
+            assert got[1] == "" if got[0] == 2 else got[1].startswith("usage: oscitab"), argv
+        else:
+            assert got == expected, argv
+        outcomes.add(expected[0] if isinstance(expected, tuple) else "parsed")
+    assert outcomes == {0, 2, "parsed"}
 
 
 def test_removed_threads_option_is_a_usage_error(capsys):

@@ -82,6 +82,22 @@ def test_poly_json_round_trip():
     data = f.to_dict()
     assert data["terms"][0] == {"exp": [2, 1, 0], "coef": "1"}
     assert SparsePoly.from_dict(data) == f
+    assert SparsePoly.from_dict({"nvars": 1, "terms": [{"exp": [3], "coef": "-12"}]}) == poly_from_pairs(1, {(3,): -12})
+
+
+@pytest.mark.parametrize("coef", [1.5, True, 1, None, [1], "1.5", "", "-", "--1", "+1", " 1", "1_0", "\u0663", "\u00b2"])
+def test_poly_from_dict_takes_only_decimal_integer_strings(coef):
+    with pytest.raises(ValueError, match="coefficient"):
+        SparsePoly.from_dict({"nvars": 1, "terms": [{"exp": [1], "coef": coef}]})
+
+
+def test_poly_from_dict_rejects_a_repeated_exponent():
+    terms = [{"exp": [1], "coef": "2"}, {"exp": [0], "coef": "1"}, {"exp": [1], "coef": "3"}]
+    with pytest.raises(ValueError, match="twice"):
+        SparsePoly.from_dict({"nvars": 1, "terms": terms})
+    for data in ({"nvars": 1}, {"nvars": 1, "terms": [{"exp": [[1]], "coef": "1"}]}, [], {"nvars": 1, "terms": [1]}):
+        with pytest.raises(ValueError, match="malformed"):
+            SparsePoly.from_dict(data)
 
 
 def test_monomial_qsym():

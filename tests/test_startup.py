@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 # modules that cost start-up time and that building the CLI does not need
-COLD = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+COLD = ("dataclasses", "inspect", "typing", "fractions", "decimal", "argparse", "json", "re", "shutil")
 
 
 def benchmark_probe() -> str:
@@ -23,11 +23,14 @@ def benchmark_probe() -> str:
     raise AssertionError("oscbench/run.py defines no PROBE")
 
 
-def fresh_python(*args: str) -> bytes:
-    """Standard output of ``python3 -S`` in a new process with only ``src`` on the path, as the probe runs."""
+def fresh_python(*args: str, code: int = 0) -> bytes:
+    """Standard output of ``python3 -S`` in a new process with only ``src`` on the path, as the probe runs.
+
+    The process must exit with ``code``.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", *args], env=env, cwd=ROOT, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == code, proc.stderr.decode()
     return proc.stdout
 
 
@@ -64,3 +67,8 @@ FRESH_CASES = [
 @pytest.mark.parametrize("name,argv", FRESH_CASES, ids=[c[0] for c in FRESH_CASES])
 def test_cli_in_a_fresh_process(name, argv):
     assert fresh_python("-m", "oscitab.cli", *argv) == (GOLDEN / name).read_bytes()
+
+
+def test_cli_exit_codes_in_a_fresh_process():
+    assert fresh_python("-m", "oscitab.cli", "not-a-command", code=2) == b""
+    assert fresh_python("-m", "oscitab.cli", "--help").startswith(b"usage: oscitab [-h]")

@@ -459,9 +459,9 @@ class _Parser:
         rows = [f"  {label:<{width}}{option_help}" for label, option_help in labels.items()]
         return "\n".join([self.usage[command], "", text, "", "options:", *rows, ""])
 
-    def _act_on_help(self, value, command, usage):
+    def _act_on_help(self, value, command):
         if value is not None:
-            _fail(usage, f"argument -h/--help: ignored explicit argument {value!r}")
+            _fail(self.usage[command], f"argument -h/--help: ignored explicit argument {value!r}")
         sys.stdout.write(self.help(command))
         raise SystemExit(0)
 
@@ -476,7 +476,7 @@ class _Parser:
             if option[0] is None:
                 unknown.append(arg)
             else:
-                self._act_on_help(option[1], None, usage)
+                self._act_on_help(option[1], None)
         else:
             _fail(usage, "the following arguments are required: command")
         if arg not in COMMANDS:
@@ -524,7 +524,7 @@ class _Parser:
             if name is None:
                 unknown.append(arg)
             elif name == "--help":
-                self._act_on_help(value, command, usage)
+                self._act_on_help(value, command)
             elif OPTIONS[name][0] is False:
                 if value is not None:
                     _fail(usage, f"argument {name}: ignored explicit argument {value!r}")

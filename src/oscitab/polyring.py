@@ -176,7 +176,7 @@ class SparsePoly(_Record):
             for t in data["terms"]:
                 exp, coef = tuple(t["exp"]), t["coef"]
                 if type(coef) is not str or not (coef.isascii() and coef.removeprefix("-").isdigit()):
-                    raise ValueError(f"malformed polynomial encoding: coefficient {coef!r} is not a decimal-integer string")
+                    raise ValueError(f"malformed polynomial encoding: coefficient {coef!r} is not an integer string")
                 if exp in terms:
                     raise ValueError(f"malformed polynomial encoding: exponent {list(exp)} appears twice")
                 terms[exp] = int(coef)

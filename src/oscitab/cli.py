@@ -4,8 +4,8 @@ Partitions are passed as comma-separated parts (``2,1``; ``-`` for the empty
 partition), Burge pairs as ``top,bottom`` arguments, SSOTs as JSON files in
 the step-pair encoding.  Identical invocations produce byte-identical output.
 ``COMMANDS`` states every subcommand, and ``build_parser`` reads the command
-line against it as the ``argparse`` front end it replaced read it, without
-importing ``argparse``; ``json`` is imported only to read an SSOT file.
+line against it by the grammar that ``_Parser`` states, without importing
+``argparse``; ``json`` is imported only to read an SSOT file.
 """
 
 import functools
@@ -102,8 +102,10 @@ def load_ssot(path: str) -> SSOT:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply")
     return oscillating.ssot_from_dict(data)
 
 
@@ -378,52 +380,22 @@ def _int(name: str, text: str, usage: str) -> int:
         _fail(usage, f"argument {name}: invalid int value: {text!r}")
 
 
-def _is_negative_number(arg: str) -> bool:
-    """Whether argparse reads ``arg`` as a negative number.
-
-    That is ``-`` and then digits, or ``-``, optional digits, a point and
-    digits; the digits are Unicode decimal digits, and one final newline may
-    follow.
-    """
-    body = arg[1:-1] if arg.endswith("\n") else arg[1:]
-    head, dot, tail = body.partition(".")
-    return body.isdecimal() or bool(dot) and tail.isdecimal() and (not head or head.isdecimal())
-
-
-def _read_option(arg: str, names: tuple, usage: str):
-    """``arg`` read against the long options ``names`` and ``-h``, as ``argparse`` reads it.
-
-    None for a positional: an argument that does not start with ``-``, ``-``
-    and ``--`` themselves, a negative number and one with a space that no
-    option takes.  Otherwise ``(name, value)``: the option (``--help`` for
-    ``-h``), or None for an unknown one, and the text it carries after ``=``
-    (or after ``-h``: ``-hh`` is ``-h`` twice, ``-hx`` an ``x`` that help
-    rejects), or None.  A long option may be cut to a unique prefix.
-    """
-    if arg[:1] != "-" or arg in ("-", "--"):
-        return None
-    if arg[1] == "-":
-        name, eq, value = arg.partition("=")
-        found = [name] if name in names else [o for o in names if o.startswith(name)]
-        if len(found) > 1:
-            _fail(usage, f"ambiguous option: {arg} could match {', '.join(found)}")
-        if found:
-            return found[0], value if eq else None
-    elif arg[1] == "h":
-        return "--help", arg[2:].lstrip("h") or None
-    elif _is_negative_number(arg):
-        return None
-    return None if " " in arg else (None, None)
+def _is_option(arg: str) -> bool:
+    """Whether ``arg`` reads as an option: it starts with ``-``, and is neither ``-`` nor ``-`` and decimal digits."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdecimal()
 
 
 class _Parser:
-    """The command line that ``COMMANDS`` states, read as the ``argparse`` front end it replaced read it.
+    """The command line that ``COMMANDS`` and ``OPTIONS`` state, read left to right.
 
-    Before the command only ``-h``/``--help`` is an option.  After it,
-    options go before, between or after the positionals, ``--limit`` takes
-    ``N`` or ``=N``, and every argument after ``--`` is a positional.
-    ``-h`` prints help to stdout and exits 0; a usage error prints the usage
-    and the error to stderr and exits 2.
+    Before the command only ``-h``/``--help`` is allowed.  After it,
+    ``-h``/``--help`` prints help; ``--NAME`` or ``--NAME=VALUE`` sets one of
+    the command's options, spelled in full, and ``--limit`` takes ``=N`` or
+    the next argument unless that reads as an option; ``--`` makes every
+    later argument a positional, and must have one after it; any other
+    argument that reads as an option is a usage error, and the rest are
+    positionals.  Help goes to stdout and exits 0; a usage error prints the
+    usage and the error to stderr and exits 2.
     """
 
     def __init__(self):
@@ -459,86 +431,65 @@ class _Parser:
         rows = [f"  {label:<{width}}{option_help}" for label, option_help in labels.items()]
         return "\n".join([self.usage[command], "", text, "", "options:", *rows, ""])
 
-    def _act_on_help(self, value, command):
-        if value is not None:
-            _fail(self.usage[command], f"argument -h/--help: ignored explicit argument {value!r}")
+    def _show_help(self, command):
         sys.stdout.write(self.help(command))
         raise SystemExit(0)
 
     def parse_args(self, argv=None) -> SimpleNamespace:
         argv = sys.argv[1:] if argv is None else list(argv)
-        usage = self.usage[None]
-        unknown = []
-        for i, arg in enumerate(argv):
-            option = _read_option(arg, ("--help",), usage)
-            if option is None:
-                break
-            if option[0] is None:
-                unknown.append(arg)
-            else:
-                self._act_on_help(option[1], None)
-        else:
-            _fail(usage, "the following arguments are required: command")
-        if arg not in COMMANDS:
+        if not argv:
+            _fail(self.usage[None], "the following arguments are required: command")
+        command = argv[0]
+        if command in ("-h", "--help"):
+            self._show_help(None)
+        if command not in COMMANDS:
             choices = ", ".join(map(repr, COMMANDS))
-            _fail(usage, f"argument command: invalid choice: {arg!r} (choose from {choices})")
-        args = self._parse_command(arg, argv[i + 1 :], unknown)
-        if unknown:
-            _fail(self.usage[arg], f"unrecognized arguments: {' '.join(unknown)}")
-        return args
-
-    def _parse_command(self, command: str, argv: list, unknown: list) -> SimpleNamespace:
+            _fail(self.usage[None], f"argument command: invalid choice: {command!r} (choose from {choices})")
         fn, _, positionals, options = COMMANDS[command]
         usage = self.usage[command]
-        names = ("--help", *options)
-        end = argv.index("--") if "--" in argv else len(argv)
-        read = [_read_option(arg, names, usage) for arg in argv[:end]]  # all read before any is acted on
         args = {"command": command, "fn": fn, **{o[2:]: OPTIONS[o][0] for o in options}}
         waiting = list(positionals)
         run = None  # the "+" positional taking the current run of positionals
-        positional = False  # whether the argument just read went to a positional
-        taken = None  # the index of the argument an option took as its value
-        for i, arg in enumerate(argv):
-            if i == taken:
-                continue
-            if i == end:  # "--"; argparse finds no place for a final one right after the command or an option
-                if i + 1 == len(argv) and not positional:
-                    unknown.append(arg)
-                continue
-            option = read[i] if i < end else None
-            positional = option is None
-            if positional:
+        after_dashes = False
+        i = 1
+        while i < len(argv):
+            arg = argv[i]
+            i += 1
+            if after_dashes or not _is_option(arg):
                 if run is not None:
                     args[run].append(arg)
                 elif not waiting:
-                    unknown.append(arg)
+                    _fail(usage, f"unrecognized arguments: {arg}")
                 elif waiting[0].endswith("+"):
                     run = waiting.pop(0)[:-1]
                     args[run] = [arg]
                 else:
                     name = waiting.pop(0)
                     args[name] = _int(name, arg, usage) if name in INTS else arg
-                continue
-            run = None  # an option ends the run
-            name, value = option
-            if name is None:
-                unknown.append(arg)
-            elif name == "--help":
-                self._act_on_help(value, command)
-            elif OPTIONS[name][0] is False:
-                if value is not None:
-                    _fail(usage, f"argument {name}: ignored explicit argument {value!r}")
-                args[name[2:]] = True
+            elif arg in ("-h", "--help"):
+                self._show_help(command)
+            elif arg == "--":  # it does not end a run
+                if i == len(argv):
+                    _fail(usage, "expected an argument after --")
+                after_dashes = True
             else:
-                if value is None:
-                    if i + 1 >= end or read[i + 1] is not None:
+                run = None  # an option ends the run
+                name, eq, value = arg.partition("=")
+                if name not in options:
+                    _fail(usage, f"unrecognized arguments: {arg}")
+                if OPTIONS[name][0] is False:
+                    if eq:
+                        _fail(usage, f"argument {name}: ignored explicit argument {value!r}")
+                    args[name[2:]] = True
+                    continue
+                if not eq:
+                    if i == len(argv) or _is_option(argv[i]):
                         _fail(usage, f"argument {name}: expected one argument")
-                    taken = i + 1
-                    value = argv[taken]
+                    value = argv[i]
+                    i += 1
                 args[name[2:]] = _int(name, value, usage)
-        missing = [p.rstrip("+") for p in waiting]
-        if missing:
-            _fail(usage, f"the following arguments are required: {', '.join(missing)}")
+        if waiting:
+            _fail(usage, f"the following arguments are required: {', '.join(p.rstrip('+') for p in waiting)}")
         return SimpleNamespace(**args)
 
 

@@ -35,8 +35,9 @@ class _Record:
     is ``Cls(field=value, ...)``; pickle and copy go through the public
     constructor, so a restored value is checked again.  A read-only mapping
     field hashes by its items and pickles as a ``dict``.  ``__init__`` takes
-    the fields by position or name unchecked, and a subclass with checks
-    overrides it; ``_of`` builds a record from values known to be valid.
+    the field values in order, unchecked: each subclass overrides it with
+    its own signature and checks, then calls it; ``_of`` builds a record
+    from values known to be valid.
     ``dataclasses.replace`` and ``dataclasses.fields`` accept records too,
     and the changed copy goes through the constructor; ``dataclasses`` is
     imported only when they are used.
@@ -52,11 +53,8 @@ class _Record:
         cls._key = attrgetter(*cls._fields)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for setter, value in zip(self._setters, (*args, *(kwargs[name] for name in names[len(args):]))):
+    def __init__(self, *values):
+        for setter, value in zip(self._setters, values):
             setter(self, value)
 
     @classmethod

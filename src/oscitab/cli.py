@@ -116,8 +116,8 @@ _QYOT_STEP = '{\n          "deleted": %s,\n          "reached": %s\n        }'
 _QYOT_ROW = '[\n          "%s"\n        ]'
 
 
-def _listed_qyot(lam: Partition, n: int, k: int, limit):
-    """The tableaux of ``enumerate-qyot``, at most ``limit`` of them, one pass over the walk.
+def _listed_qyot(lam: Partition, n: int, k: int, limit: int):
+    """The first ``limit`` tableaux of ``enumerate-qyot``, one pass over the walk.
 
     Yields each tableau's OT as ``(chain, kinds, des)`` (its steps are
     ``_qyot_steps`` of them), box rows (as ``render_boxes`` builds them), run
@@ -136,7 +136,8 @@ def cmd_enumerate_qyot(args) -> None:
     if args.limit is not None:
         _check_int(args.limit, "limit", 0)
     count = sum(polyring.f_expansion(lam, args.n, args.k).values())  # checks the query
-    listed = _listed_qyot(lam, args.n, args.k, args.limit)
+    # the walk has count tableaux, and islice takes no limit above sys.maxsize
+    listed = _listed_qyot(lam, args.n, args.k, count if args.limit is None else min(args.limit, count))
     if not args.json:
         print(f"{count} quasi-Yamanouchi tableaux of shape {fmt_parts(lam)}, length {args.n}, step <= {args.k}")
         for _, rows, run, _ in listed:
@@ -433,6 +434,7 @@ class _Parser:
 
     def _show_help(self, command):
         sys.stdout.write(self.help(command))
+        sys.stdout.flush()  # a closed pipe fails here, where main catches it
         raise SystemExit(0)
 
     def parse_args(self, argv=None) -> SimpleNamespace:
@@ -499,11 +501,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # help written to a closed pipe fails here
         args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        import os  # imported here: only a closed standard output needs it
+
+        # the reader has gone; send what is still buffered to the null device,
+        # so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

@@ -7,7 +7,6 @@ additions and column-unbumping on deletions, each deletion contributing a
 Burge pair (letter, ejected value).
 """
 
-from bisect import insort
 from collections import Counter
 from collections.abc import Iterator
 
@@ -156,15 +155,16 @@ def _place_entry(cols: list[list[int]], box: Box, x: int) -> None:
 
 
 def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple[int, int, str, Box]]:
-    """Apply the substeps of ``S`` to a sorted pair list and a list of columns, in place.
+    """Apply the substeps of ``S`` to a pair list and a list of columns, in place.
 
-    Yields ``(m, letter, kind, box)`` after each substep.
+    Yields ``(m, letter, kind, box)`` after each substep.  The pairs come
+    out in lexicographic order, which ``_finish`` checks.
     """
     for m, (u, box, kind) in enumerate(_step_events(_check_instance(S, SSOT, "an SSOT").steps), 1):
         if kind == ADD:
             _place_entry(cols, box, u)
         else:
-            insort(pairs, (u, _column_unbump(cols, box)))
+            pairs.append((u, _column_unbump(cols, box)))
         yield m, u, kind, box
 
 
@@ -207,8 +207,8 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     the right.  Then the pairs whose top is the letter are popped from the
     right, and each bottom is column-inserted.  The step of the letter
     reaches the shape found before its additions are undone, and deletes
-    down to the shape found before its deletions are undone; the letters
-    between it and the next one have empty steps.  Every box is a corner
+    down to the shape found before its deletions are undone; a letter
+    with no cells and no pairs has an empty step.  Every box is a corner
     that the walk removes or a box that column insertion adds, so each
     event fits its shape.
     """
@@ -219,37 +219,30 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
     rows = [len(row) for row in T]
     pairs = list(pair.burge.pairs)
     steps: list[tuple[Partition, Partition]] = []  # top letter first
-    top = max((column[-1] for column in cols), default=0)  # the largest entry left
-    letter = max(top, pairs[-1][0] if pairs else 0)
-    while letter:
+    top = max([column[-1] for column in cols] + [t for t, _ in pairs], default=0)
+    for letter in range(top, 0, -1):
         reached = tuple(rows)
-        if top == letter:
-            # T is semistandard and holds nothing above the letter, so the
-            # cells holding it are column bottoms and form a horizontal
-            # strip: taken from the right, each is a corner when removed,
-            # and the additions, read forward, move right by construction.
-            top = 0
-            for c in range(len(cols) - 1, -1, -1):
-                column = cols[c]
-                if column[-1] == letter:
-                    column.pop()
-                    row = len(column)
-                    if rows[row] == 1:  # a corner of length 1 ends the last row
-                        rows.pop()
-                    else:
-                        rows[row] -= 1
-                    if not column:  # a corner in row 1 ends the last column
-                        cols.pop()
-                        continue
-                if column[-1] > top:
-                    top = column[-1]
+        # T is semistandard and holds nothing above the letter, so the cells
+        # holding it are column bottoms and form a horizontal strip: taken
+        # from the right, each is a corner when removed, and the additions,
+        # read forward, move right by construction.
+        for c in range(len(cols) - 1, -1, -1):
+            column = cols[c]
+            if column[-1] == letter:
+                column.pop()
+                row = len(column)
+                if rows[row] == 1:  # a corner of length 1 ends the last row
+                    rows.pop()
+                else:
+                    rows[row] -= 1
+                if not column:  # a corner in row 1 ends the last column
+                    cols.pop()
         deleted = tuple(rows)
         # Burge bottoms lie below their tops, so no cell holds the letter
         # again: no addition of it can follow an undone deletion.
         prev_col = 0
         while pairs and pairs[-1][0] == letter:
-            bottom = pairs.pop()[1]
-            row, col = _column_insert(cols, bottom)
+            row, col = _column_insert(cols, pairs.pop()[1])
             if col <= prev_col:
                 raise ValueError(f"pair has no valid preimage: step {letter}: deletions must move left")
             prev_col = col
@@ -257,11 +250,5 @@ def sundaram_inverse(pair: SundaramPair) -> SSOT:
                 rows.append(1)
             else:
                 rows[row - 1] += 1
-            if bottom > top:
-                top = bottom
         steps.append((deleted, reached))
-        nxt = max(top, pairs[-1][0] if pairs else 0)
-        shape = tuple(rows)
-        steps.extend([(shape, shape)] * (letter - nxt - 1))
-        letter = nxt
     return SSOT._of(tuple(steps[::-1]))

@@ -380,11 +380,12 @@ def lambda_bar(lam: Partition, n: int) -> Partition:
 def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of ``m``, lexicographically descending; ``ValueError`` unless ``m`` is an ``int`` >= 0."""
     _check_int(m, "size", 0)
-    return tuple(sorted(_partitions_of(m, m), reverse=True))
+    return _partitions_of(m, m)
 
 
 @lru_cache(maxsize=None)
 def _partitions_of(m: int, largest: int) -> tuple[Partition, ...]:
+    """Partitions of ``m`` with parts at most ``largest``, lexicographically descending."""
     if m == 0:
         return ((),)
     out = []
@@ -394,14 +395,14 @@ def _partitions_of(m: int, largest: int) -> tuple[Partition, ...]:
 
 
 def _even_conjugate_partitions(m: int) -> tuple[Partition, ...]:
-    """Partitions of ``m`` whose conjugate is even, i.e. rows repeat in equal pairs."""
+    """Partitions of ``m`` whose conjugate is even, i.e. rows repeat in equal pairs.
+
+    Lexicographically descending, as doubling every row keeps the order of
+    ``partitions_of(m // 2)``.
+    """
     if m % 2 != 0:
         return ()
-    out = []
-    for gamma in partitions_of(m // 2):
-        doubled = tuple(p for p in gamma for _ in range(2))
-        out.append(doubled)
-    return tuple(sorted(out, reverse=True))
+    return tuple(tuple(p for p in gamma for _ in range(2)) for gamma in partitions_of(m // 2))
 
 
 def _northeast(b1: Box, b2: Box) -> bool:

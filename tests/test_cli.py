@@ -204,6 +204,15 @@ def test_limit_flag(capsys):
     assert "14 quasi-Yamanouchi" in out
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_limit_above_sys_maxsize_lists_everything(as_json, capsys):
+    argv = ["enumerate-qyot", "2,1", "5", "3"] + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    assert main(argv + ["--limit", "99999999999999999999"]) == 0
+    assert capsys.readouterr() == expected
+
+
 def listed_qyot_output(lam, n, k, limit, as_json):
     # the output as the listing API gives it, each tableau's facts derived again
     tableaux = enumerate_qyot(lam, n, k)

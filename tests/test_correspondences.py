@@ -265,11 +265,13 @@ def test_recorded_burge_verdict_is_invisible():
 
 
 def test_sundaram_inverse_matches_event_oracle():
-    # every Burge array of <= 2 pairs with tops <= 4 against every tableau of <= 4 boxes with entries <= 4
+    # every Burge array of <= 2 pairs with tops <= 4 against every tableau of <= 4 boxes with entries <= 4,
+    # arrays whose tops leave long runs of letters with no cells and no pairs,
     # plus arrays that are not Burge and tableaux that are not semistandard
-    arrays = [L for r in range(3) for L in all_burge_arrays(4, r)]
+    gapped = [TwoRowArray(((9, 1),)), TwoRowArray(((9, 2), (9, 5))), TwoRowArray(((3, 1), (9, 2)))]
+    arrays = [L for r in range(3) for L in all_burge_arrays(4, r)] + gapped
     tableaux = [T for m in range(5) for lam in partitions_of(m) for T in ssyt_of_shape(lam, 4)]
-    assert (len(arrays), len(tableaux)) == (28, 181)
+    assert (len(arrays), len(tableaux)) == (31, 181)
     bad_tableaux = [((2, 1),), ((1,), (1,)), ((1,), (2, 3))]
     inverted = rejected = 0
     for L in arrays + list(BAD_ARRAYS):
@@ -294,8 +296,8 @@ def test_sundaram_inverse_matches_event_oracle():
             )
             inverted += 1
     # the correspondence is a bijection, so exactly the bad inputs are rejected
-    assert inverted == 28 * 181
-    assert rejected == 31 * 184 - inverted
+    assert inverted == 31 * 181
+    assert rejected == 34 * 184 - inverted
 
 
 def test_step_events_match_flat_lists():

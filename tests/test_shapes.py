@@ -303,6 +303,17 @@ def test_even_conjugate_partitions():
     )
 
 
+def test_partition_listings_are_lexicographically_descending():
+    # each list as built equals the sorted brute-force list: every strong
+    # composition rearranged, kept once, and filtered on an even conjugate
+    for m in range(17):
+        brute = sorted({tuple(sorted(a, reverse=True)) for a in all_strong_compositions(m)}, reverse=True)
+        if m <= 12:
+            assert partitions_of(m) == tuple(brute)
+        even = [lam for lam in brute if all(c % 2 == 0 for c in conjugate(lam))]
+        assert _even_conjugate_partitions(m) == tuple(even), m
+
+
 def test_trim():
     assert trim((2, 0)) == (2,)
     assert trim((0, 2, 0)) == (0, 2)

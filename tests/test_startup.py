@@ -72,3 +72,33 @@ def test_cli_in_a_fresh_process(name, argv):
 def test_cli_exit_codes_in_a_fresh_process():
     assert fresh_python("-m", "oscitab.cli", "not-a-command", code=2) == b""
     assert fresh_python("-m", "oscitab.cli", "--help").startswith(b"usage: oscitab [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # the listing is about 113 KB, more than a pipe holds, so the CLI is
+        # still writing when the reader takes one line and closes the pipe
+        (["enumerate-qyot", "2,1", "9", "9"], 1),
+        (["enumerate-qyot", "2,1", "9", "9", "--json"], 1),
+        # the reader closes the pipe while the CLI is still starting up
+        (["--help"], 0),
+        (["vset", "-h"], 0),
+    ],
+    ids=["text", "json", "help", "command-help"],
+)
+def test_closed_standard_output_ends_without_a_traceback(argv, lines):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-S", "-m", "oscitab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        cwd=ROOT,
+    ) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()

@@ -12,7 +12,6 @@ The results ``SchurExpansion`` and ``LatticePolytopeCheck`` are records on
 the package's one value base, ``shapes._Record``.
 """
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import le
@@ -66,9 +65,10 @@ class SchurExpansion(_Record):
 @lru_cache(maxsize=None)
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:
     """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu."""
-    total: Counter = Counter()
+    total: dict[Partition, int] = {}
     for beta in _even_conjugate_partitions(n - sum(lam)):
-        total.update(lr_product(lam, beta))
+        for nu, c in lr_product(lam, beta).items():
+            total[nu] = total.get(nu, 0) + c
     return tuple(sorted(total.items(), reverse=True))
 
 

@@ -16,8 +16,8 @@ from types import SimpleNamespace
 
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
-from .oscillating import SSOT, _descent_composition, _qyot_steps
-from .shapes import Partition, _check_int, _is_partition, v_set
+from .oscillating import SSOT, _qyot_steps
+from .shapes import Partition, _check_int, _descent_composition, _is_partition, v_set
 
 
 def parse_partition(text: str) -> Partition:
@@ -230,7 +230,7 @@ def cmd_burge(args) -> None:
 def cmd_sundaram(args) -> None:
     S = load_ssot(args.ssot)
     rows = list(correspondences.sundaram_steps(S)) if args.trace else []
-    pair = SundaramPair(rows[-1][4], rows[-1][5]) if rows else correspondences.sundaram(S)
+    pair = SundaramPair._of(rows[-1][4], rows[-1][5]) if rows else correspondences.sundaram(S)
     if args.json:
         payload = pair.to_dict()
         if args.trace:

@@ -10,7 +10,7 @@ Burge pair (letter, ejected value).
 from collections import Counter
 from collections.abc import Iterator
 
-from .shapes import Box, Partition, _Record, _check_instance, _tuple_of, conjugate
+from .shapes import Box, Partition, _Record, _check_instance, _tuple_of
 from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
     Tableau,
@@ -134,26 +134,6 @@ class SundaramPair(_Record):
             raise ValueError(f"malformed pair encoding: {exc}") from exc
 
 
-def _place_entry(cols: list[list[int]], box: Box, x: int) -> None:
-    """Put ``x`` in the addable ``box`` of a list of columns, in place."""
-    row, col = box
-    if not (
-        1 <= col <= len(cols) + 1
-        and (len(cols[col - 1]) if col <= len(cols) else 0) == row - 1
-        and (col == 1 or len(cols[col - 2]) >= row)
-    ):
-        shape = conjugate(tuple(len(c) for c in cols))
-        raise ValueError(f"box {box} is not addable to shape {shape}")
-    if col > 1 and cols[col - 2][row - 1] > x:
-        raise ValueError(f"placing {x} at {box} breaks row order")
-    if row > 1 and cols[col - 1][row - 2] >= x:
-        raise ValueError(f"placing {x} at {box} breaks column order")
-    if col > len(cols):
-        cols.append([x])
-    else:
-        cols[col - 1].append(x)
-
-
 def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple[int, int, str, Box]]:
     """Apply the substeps of ``S`` to a pair list and a list of columns, in place.
 
@@ -162,7 +142,13 @@ def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple
     """
     for m, (u, box, kind) in enumerate(_step_events(_check_instance(S, SSOT, "an SSOT").steps), 1):
         if kind == ADD:
-            _place_entry(cols, box, u)
+            # Nothing to check: S was checked when it was built, its additions
+            # are a horizontal strip added bottom row first, and every entry
+            # before them is a letter below u.  So the box is addable, and u is
+            # at least the entry to its left and greater than the one above.
+            if box[1] > len(cols):
+                cols.append([])
+            cols[box[1] - 1].append(u)
         else:
             pairs.append((u, _column_unbump(cols, box)))
         yield m, u, kind, box

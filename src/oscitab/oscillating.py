@@ -20,6 +20,7 @@ from .shapes import (
     _Record,
     _check_instance,
     _check_int,
+    _descent_composition,
     _in_N,
     _int_pair,
     _is_horizontal_strip,
@@ -130,7 +131,10 @@ class SSOT(_Record):
     def __init__(self, steps):
         steps = _tuple_of(steps, "SSOT steps", lambda step: tuple(map(check_partition, step)))
         prev: Partition = ()
-        for i, (deleted, reached) in enumerate(steps, 1):
+        for i, step in enumerate(steps, 1):
+            if len(step) != 2:
+                raise ValueError(f"SSOT steps must be (deleted, reached) pairs, got {step}")
+            deleted, reached = step
             if i == 1 and deleted != ():
                 raise ValueError("step 1 cannot delete boxes")
             if not _is_horizontal_strip(deleted, prev):
@@ -259,13 +263,6 @@ def descent_positions(events: EventTrace) -> tuple[int, ...]:
         if _is_descent(kinds[j - 1], boxes[j - 1], kinds[j], boxes[j]):
             out.append(j)
     return tuple(out)
-
-
-def _descent_composition(des, n: int) -> Composition:
-    """Lengths of the runs that the descent positions ``des`` cut ``n`` events into."""
-    if n == 0:
-        return ()
-    return tuple(b - a for a, b in zip((0, *des), (*des, n)))
 
 
 def descent_data(x) -> tuple[frozenset[int], Composition, int]:

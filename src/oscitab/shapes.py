@@ -262,6 +262,13 @@ def _weak_refinements(a, k: int) -> list[Composition]:
     return out
 
 
+def _descent_composition(des, n: int) -> Composition:
+    """Lengths of the runs that the descent positions ``des`` cut ``1..n`` into."""
+    if n == 0:
+        return ()
+    return tuple(b - a for a, b in zip((0, *des), (*des, n)))
+
+
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """Dominance comparison: every prefix sum of ``mu`` is at most that of ``lam``; both must be partitions."""
     mu, lam = check_partition(trim(mu)), check_partition(trim(lam))
@@ -325,15 +332,12 @@ def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
 def _vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
     """All partitions obtained from the partition ``lam`` by adding one vertical strip of ``size`` >= 0 boxes."""
     results: list[Partition] = []
-    nrows = len(lam) + size
 
     def rec(i: int, remaining: int, prev: int, acc: list[int]):
         if remaining == 0:
             results.append(tuple(acc) + lam[i:])  # every part is at least 1
             return
-        if i == nrows or remaining > nrows - i:
-            return
-        base = _part(lam, i)
+        base = _part(lam, i)  # 0 below lam, so each new row takes a box and the strip ends
         for add in (0, 1):
             new = base + add
             if new == 0 or new > prev:

@@ -13,6 +13,7 @@ from .shapes import (
     Partition,
     _check_int,
     _contains,
+    _descent_composition,
     _int_pair,
     _northeast,
     _part,
@@ -208,28 +209,13 @@ def is_standard(T: Tableau) -> bool:
     return is_semistandard(T) and sorted(x for row in T for x in row) == list(range(1, sum(map(len, T)) + 1))
 
 
-def _entry_positions(T: Tableau) -> dict[int, Box]:
-    return {x: (r + 1, c + 1) for r, row in enumerate(T) for c, x in enumerate(row)}
-
-
 def standard_horizontal_bands(T: Tableau) -> list[int]:
     """Sizes of the maximal bands of consecutive entries running northEast."""
     if not is_standard(T):
         raise ValueError("descent decomposition needs a standard tableau")
-    pos = _entry_positions(T)
+    pos = {x: (r + 1, c + 1) for r, row in enumerate(T) for c, x in enumerate(row)}
     n = len(pos)
-    sizes: list[int] = []
-    current = 0
-    for v in range(1, n + 1):
-        if current and _northeast(pos[v - 1], pos[v]):
-            current += 1
-        else:
-            if current:
-                sizes.append(current)
-            current = 1
-    if current:
-        sizes.append(current)
-    return sizes
+    return list(_descent_composition([v for v in range(1, n) if not _northeast(pos[v], pos[v + 1])], n))
 
 
 def des_syt(T: Tableau) -> Composition:

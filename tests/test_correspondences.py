@@ -22,6 +22,7 @@ from oscitab.oscillating import (
     _step_events,
     enumerate_ssot,
     _in_N,
+    replay_events,
     ssot_from_events,
     substep_events,
 )
@@ -331,8 +332,13 @@ def test_sundaram_steps_end_at_sundaram_and_do_not_alias():
     for m in range(1, 4):
         for lam in partitions_of(m):
             for S in enumerate_ssot(lam, m + 4, 4):
+                e = substep_events(S)
+                chain = replay_events(e.boxes, e.kinds)
                 rows = []
-                for _, _, _, _, L, T in sundaram_steps(S):
+                for step, _, _, _, L, T in sundaram_steps(S):
+                    # the replay places additions unchecked: each T_m is a
+                    # semistandard tableau of the chain's shape at m
+                    assert check_tableau(T) == T and tableau_shape(T) == chain[step], (S, step)
                     # copied as yielded, compared once the replay has ended
                     rows.append((L, T, [list(p) for p in L.pairs], [list(row) for row in T]))
                 assert SundaramPair(rows[-1][0], rows[-1][1]) == sundaram(S)

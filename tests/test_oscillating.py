@@ -243,6 +243,9 @@ def test_ssot_validation():
     for shape in ((1, -1), (2, 0), (0,), (1.5,), (True,)):
         with pytest.raises(ValueError):
             SSOT((((), shape),))  # not a partition
+    for step in (((), (1,), (2,)), ((),)):
+        with pytest.raises(ValueError, match=r"SSOT steps must be \(deleted, reached\) pairs"):
+            SSOT([step])  # not a pair
     assert EMPTY_SSOT.length == 0 and EMPTY_SSOT.shape == () and EMPTY_SSOT.step == 0
 
 
@@ -819,7 +822,7 @@ def test_syt_descents_agree_with_chain_descents():
     # a standard tableau read as an addition-only chain keeps its descent data
     from oscitab.tableaux import des_syt, enumerate_syt
 
-    for m in range(1, 6):
+    for m in range(1, 8):
         for lam in partitions_of(m):
             for T in enumerate_syt(lam):
                 boxes = {

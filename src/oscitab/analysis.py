@@ -12,7 +12,6 @@ The results ``SchurExpansion`` and ``LatticePolytopeCheck`` are records on
 the package's one value base, ``shapes._Record``.
 """
 
-from functools import lru_cache
 from itertools import accumulate, product
 from operator import le
 from types import MappingProxyType
@@ -24,6 +23,7 @@ from .shapes import (
     _check_instance,
     _check_int,
     _even_conjugate_partitions,
+    _memo,
     _tuple_of,
     _weak_refinements,
     check_partition,
@@ -39,10 +39,11 @@ class SchurExpansion(_Record):
     """Nonnegative integer combination of Schur functions of one degree.
 
     ``coefficients`` is a read-only copy of the mapping, or the pairs
-    ``(partition, coefficient)``, that the expansion is built from; the
-    record base hashes it by its items and pickles it as a ``dict``.
-    ``ValueError`` unless ``degree`` is an ``int`` >= 0 and each key a
-    partition of it with an ``int`` coefficient.
+    ``(partition, coefficient)``, that the expansion is built from, without
+    its zero coefficients; the record base hashes it by its items and
+    pickles it as a ``dict``.  ``ValueError`` unless ``degree`` is an
+    ``int`` >= 0 and each key a partition of it with an ``int`` coefficient
+    >= 0.
     """
 
     __slots__ = _fields = ("degree", "coefficients")
@@ -58,11 +59,11 @@ class SchurExpansion(_Record):
         for nu, c in coefficients.items():
             if sum(check_partition(nu)) != degree:
                 raise ValueError(f"{nu} is not a partition of {degree}")
-            _check_int(c, "a coefficient")
-        super().__init__(degree, MappingProxyType(coefficients))
+            _check_int(c, "a coefficient", 0)
+        super().__init__(degree, MappingProxyType({nu: c for nu, c in coefficients.items() if c}))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:
     """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu."""
     total: dict[Partition, int] = {}

@@ -8,7 +8,6 @@ line against it by the grammar that ``_Parser`` states, without importing
 ``argparse``; ``json`` is imported only to read an SSOT file.
 """
 
-import functools
 import sys
 from _json import encode_basestring_ascii  # the C encoder that json.encoder re-exports
 from itertools import islice
@@ -17,7 +16,7 @@ from types import SimpleNamespace
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
 from .oscillating import SSOT, _qyot_steps
-from .shapes import Partition, _check_int, _descent_composition, _is_partition, v_set
+from .shapes import Partition, _check_int, _descent_composition, _is_partition, _memo, v_set
 
 
 def parse_partition(text: str) -> Partition:
@@ -495,7 +494,7 @@ class _Parser:
         return SimpleNamespace(**args)
 
 
-@functools.cache
+@_memo
 def build_parser() -> _Parser:
     return _Parser()
 

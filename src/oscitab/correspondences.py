@@ -7,9 +7,6 @@ additions and column-unbumping on deletions, each deletion contributing a
 Burge pair (letter, ejected value).
 """
 
-from collections import Counter
-from collections.abc import Iterator
-
 from .shapes import Box, Partition, _Record, _check_instance, _tuple_of
 from .oscillating import ADD, SSOT, _step_events
 from .tableaux import (
@@ -60,9 +57,11 @@ class TwoRowArray(_Record):
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def content(self) -> Counter:
+    def content(self) -> "Counter":
         """Multiset of all entries, both rows."""
-        c: Counter = Counter()
+        from collections import Counter  # imported here: start-up never needs it
+
+        c = Counter()
         for t, b in self.pairs:
             c[t] += 1
             c[b] += 1
@@ -117,7 +116,7 @@ class SundaramPair(_Record):
     def length(self) -> int:
         return 2 * len(self.burge) + sum(map(len, self.tableau))
 
-    def content(self) -> Counter:
+    def content(self) -> "Counter":
         c = self.burge.content()
         for row in self.tableau:
             c.update(row)
@@ -134,7 +133,7 @@ class SundaramPair(_Record):
             raise ValueError(f"malformed pair encoding: {exc}") from exc
 
 
-def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> Iterator[tuple[int, int, str, Box]]:
+def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> "Iterator[tuple[int, int, str, Box]]":
     """Apply the substeps of ``S`` to a pair list and a list of columns, in place.
 
     Yields ``(m, letter, kind, box)`` after each substep.  The pairs come
@@ -162,7 +161,7 @@ def _finish(pairs: list[Pair], cols: list[list[int]]) -> SundaramPair:
     return SundaramPair._of(L, _from_columns(cols))
 
 
-def sundaram_steps(S: SSOT) -> Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]:
+def sundaram_steps(S: SSOT) -> "Iterator[tuple[int, int, str, Box, TwoRowArray, Tableau]]":
     """Replay the correspondence, yielding (m, letter, kind, box, L_m, T_m) per substep.
 
     The last row holds ``sundaram(S)``; once it is yielded, the result is

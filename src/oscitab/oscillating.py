@@ -9,8 +9,6 @@ additions left-to-right.
 """
 
 from bisect import bisect_right
-from collections.abc import Iterator
-from functools import lru_cache
 from itertools import accumulate, pairwise
 
 from .shapes import (
@@ -25,6 +23,7 @@ from .shapes import (
     _int_pair,
     _is_horizontal_strip,
     _is_partition,
+    _memo,
     _northeast,
     _tuple_of,
     _weak_refinements,
@@ -165,7 +164,7 @@ class SSOT(_Record):
 EMPTY_SSOT = SSOT(())
 
 
-def _step_sizes(steps) -> Iterator[int]:
+def _step_sizes(steps) -> "Iterator[int]":
     """Events of each step: the boxes it deletes, then the boxes it adds."""
     prev = 0
     for deleted, reached in steps:
@@ -174,7 +173,7 @@ def _step_sizes(steps) -> Iterator[int]:
         prev = size
 
 
-def _step_events(steps) -> Iterator[tuple[int, Box, str]]:
+def _step_events(steps) -> "Iterator[tuple[int, Box, str]]":
     """``(letter, box, kind)`` of each substep of the SSOT with these steps, in event order.
 
     Per step, deletions come right to left, then additions left to right.
@@ -388,7 +387,7 @@ class _Table(dict):
         return out
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _transitions(lam: Partition) -> _Table:
     """The transition table of ``lam``, one per shape for the life of the process.
 

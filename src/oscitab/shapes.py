@@ -5,14 +5,49 @@ trailing zeros; compositions are tuples of nonnegative integers compared
 modulo trailing zeros.  Boxes are 1-based ``(row, col)`` pairs.
 """
 
-from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 Box = tuple[int, int]
+
+
+def _memo(fn):
+    """``fn`` with its results kept for the life of the process, keyed by its positional arguments.
+
+    Counts as ``functools.lru_cache(maxsize=None)`` does, without importing
+    ``functools``, which loads ``collections`` at start-up.  The result is a
+    plain function with ``cache_clear()``, ``cache_info()`` (``hits``,
+    ``misses`` and ``currsize``) and ``__wrapped__``; a call that raises
+    stores nothing.  An entry is a pure value, so a race between threads at
+    worst computes it twice, and the counters are informational.
+    """
+    cache = {}
+    hits = misses = 0
+
+    def memo(*args):
+        nonlocal hits, misses
+        value = cache.get(args, cache)  # the dict itself is never a kept result
+        if value is cache:
+            misses += 1
+            value = cache[args] = fn(*args)
+        else:
+            hits += 1
+        return value
+
+    def cache_clear():
+        nonlocal hits, misses
+        cache.clear()
+        hits = misses = 0
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses, currsize=len(cache))
+    for name in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(memo, name, getattr(fn, name))
+    memo.__wrapped__ = fn
+    return memo
 
 
 class _FromDataclassTwin:
@@ -362,7 +397,7 @@ def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     return _v_set(check_shape_query(lam, n), n)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
     if not _in_N(lam, n):
         return ()
@@ -387,7 +422,7 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     return _partitions_of(m, m)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _partitions_of(m: int, largest: int) -> tuple[Partition, ...]:
     """Partitions of ``m`` with parts at most ``largest``, lexicographically descending."""
     if m == 0:

@@ -10,8 +10,26 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
-# modules that cost start-up time and that building the CLI does not need
-COLD = ("dataclasses", "inspect", "typing", "fractions", "decimal", "argparse", "json", "re", "shutil")
+# modules that cost start-up time and that building the CLI does not need; a bare
+# ``python3 -S`` loads none of them on Python 3.10 to 3.13
+COLD = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "fractions",
+    "decimal",
+    "argparse",
+    "json",
+    "re",
+    "shutil",
+    "functools",
+    "collections",
+    "collections.abc",
+    "_collections_abc",
+    "reprlib",
+    "keyword",
+    "__future__",
+)
 
 
 def benchmark_probe() -> str:

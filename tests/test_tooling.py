@@ -1,6 +1,12 @@
+import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
+
+from oscitab.shapes import _memo
 
 OSCBENCH = Path(__file__).resolve().parents[1] / "oscbench"
 TRACING = OSCBENCH / "tracing.py"
@@ -35,3 +41,55 @@ def test_benchmark_reset_rebuilds_the_transition_tables(monkeypatch):
     monkeypatch.setattr(oscillating, "_one_box_moves", lambda *args: calls.append(args) or one_box_moves(*args))
     polyring.f_expansion((2, 1), 5, 5)
     assert calls
+
+
+# one call to each memo that makes no nested call to the same memo
+MEMO_CALLS = {
+    "_v_set": ((2, 1), 5),
+    "_partitions_of": (0, 0),
+    "_transitions": ((2, 1),),
+    "_ssot_schur_items": ((2, 1), 5),
+    "build_parser": (),
+}
+
+
+def test_every_memo_counts_keeps_and_clears_as_lru_cache_does():
+    # the memos are what the benchmark's scan finds: every module attribute with a callable cache_clear
+    run = load(RUN)
+    memos = run.Runner(None, run.oscitab_modules()).caches
+    assert sorted(memo.__name__ for memo in memos) == sorted(MEMO_CALLS)
+    for memo in memos:
+        # a plain function, as the scan calls cache_clear() unbound, and built by the one decorator
+        assert inspect.isfunction(memo) and memo.__code__ is _memo(len).__code__
+        assert inspect.isfunction(memo.__wrapped__) and not hasattr(memo.__wrapped__, "cache_clear")
+        assert memo.__name__ == memo.__wrapped__.__name__ and memo.__doc__ is memo.__wrapped__.__doc__
+        args = MEMO_CALLS[memo.__name__]
+        memo.cache_clear()
+        first = memo(*args)
+        assert memo(*args) is first
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1), memo.__name__
+        memo.cache_clear()
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0), memo.__name__
+
+
+def test_a_memo_keeps_no_exception_and_counts_as_lru_cache():
+    def flaky(x):
+        """Fails on its first call."""
+        calls.append(x)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return [x]
+
+    counts = []
+    for decorate in (_memo, functools.lru_cache(maxsize=None)):
+        calls = []
+        memo = decorate(flaky)
+        with pytest.raises(ValueError):
+            memo(1)
+        assert memo(1) == [1] and memo(1) is memo(1) and calls == [1, 1]
+        assert memo.__wrapped__ is flaky and memo.__doc__ == "Fails on its first call."
+        info = memo.cache_info()
+        counts.append((info.misses, info.hits, info.currsize))
+    assert counts[0] == counts[1] == (2, 2, 1)

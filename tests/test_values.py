@@ -77,6 +77,7 @@ CASES = [
             {"degree": 1, "coefficients": {(1,): "x"}},
             {"degree": 3, "coefficients": {(2,): 1}},
             {"degree": 1, "coefficients": [1]},
+            {"degree": 1, "coefficients": {(1,): -3}},
         ],
     ),
     (
@@ -165,6 +166,14 @@ def test_run_stores_immutable_fields():
     for run in (Run((1, 1, 2), {2}), Run([1, 1, 2], [2])):
         assert type(run.letters) is tuple and type(run.bars) is frozenset
         assert run == frozen and hash(run) == hash(frozen)
+
+
+def test_schur_expansion_drops_zero_coefficients():
+    # zero terms add nothing to an expansion, so they are not kept, as in SparsePoly
+    empty = SchurExpansion(1, {})
+    for zero in (SchurExpansion(1, {(1,): 0}), SchurExpansion(1, [((1,), 0)])):
+        assert zero == empty and hash(zero) == hash(empty) and zero.coefficients == {}
+    assert SchurExpansion(3, {(3,): 0, (2, 1): 2}).coefficients == {(2, 1): 2}
 
 
 def records(cls=_Record):

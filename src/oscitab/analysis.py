@@ -3,11 +3,13 @@
 Everything here is exact.  Schur coefficients are integers summed from one
 Littlewood-Richardson product per even-column shape, and the rank runs in
 integers by fraction-free elimination.  The saturated-Newton-polytope check
-decides a symmetric homogeneous support by Rado's theorem: its Newton
-polytope is a permutahedron, whose lattice points are the weak compositions
-whose sorted form is dominated by the top exponent.  Other supports fall
-back to a feasibility search over ``fractions.Fraction`` per lattice point,
-never floating-point geometry; it is the only code here that uses fractions.
+decides a symmetric homogeneous support by Rado's theorem, stated once on
+partitions: its Newton polytope is a permutahedron, whose lattice points
+are the rearrangements of the partitions that the top exponent dominates,
+and the support is saturated when it holds each of those partitions.
+Other supports fall back to a feasibility search over
+``fractions.Fraction`` per lattice point, never floating-point geometry;
+it is the only code here that uses fractions.
 The results ``SchurExpansion`` and ``LatticePolytopeCheck`` are records on
 the package's one value base, ``shapes._Record``.
 """
@@ -32,7 +34,7 @@ from .shapes import (
     v_set,
 )
 from .tableaux import lr_product
-from .polyring import SparsePoly, is_symmetric
+from .polyring import SparsePoly, _fills_orbits
 
 
 class SchurExpansion(_Record):
@@ -257,56 +259,104 @@ class LatticePolytopeCheck(_Record):
         super().__init__(_int_points(support, "support"), _int_points(polytope_points, "polytope points"), snp)
 
 
-def _permutahedron_points(support, degree: int, nvars: int):
-    """Lattice points of the Newton polytope of a homogeneous support, or None.
+def _rado_partitions(shapes, size: int):
+    """Rado's rule: the sorted lattice points of a homogeneous support's Newton polytope, or None.
 
-    When the support is closed under permuting the variables and its
-    lex-largest sorted exponent mu dominates every other sorted exponent, the
-    Newton polytope is the permutahedron P(mu).  By Rado's theorem its lattice
-    points are the weak compositions whose sorted form mu dominates.  Every
-    exponent has ``nvars`` parts summing to ``degree``, so dominance is decided
-    on prefix sums, once per distinct sorted form.
+    ``shapes`` are the distinct sorted exponents of a support of ``size``
+    terms, weakly decreasing and all of one length and sum.  If the support
+    is closed under permuting the variables (``polyring._fills_orbits``) and
+    the lex-largest shape mu dominates every other, the Newton polytope is
+    the permutahedron P(mu), and by Rado's theorem its lattice points are
+    the rearrangements of the partitions that mu dominates.  Those are
+    returned lex-descending, padded with zeros to the shapes' length, and
+    built part by part: each part at most the one before, each prefix sum
+    within mu's, and each part large enough that the parts left, none
+    larger, can make up the sum.  Any other support gives None.
     """
-    if not is_symmetric(SparsePoly._of(nvars, dict.fromkeys(support, 1))):
+    if not _fills_orbits(shapes, size):
         return None
-    shapes = {tuple(sorted(e, reverse=True)) for e in support}
-    bounds = tuple(accumulate(max(shapes)))
-    dominated: dict[tuple[int, ...], bool] = {}
+    top = max(shapes)
+    bounds = tuple(accumulate(top))
+    if not all(all(map(le, accumulate(s), bounds)) for s in shapes):
+        return None
+    nvars, degree = len(top), sum(top)
+    out: list[tuple[int, ...]] = []
+    parts: list[int] = []
 
-    def below_top(s) -> bool:
-        out = dominated.get(s)
+    def extend(total: int, prev: int) -> None:
+        left = degree - total
+        i = len(parts)
+        if not left:
+            out.append(tuple(parts) + (0,) * (nvars - i))
+            return
+        for q in range(min(prev, bounds[i] - total, left), -(-left // (nvars - i)) - 1, -1):
+            parts.append(q)
+            extend(total + q, q)
+            parts.pop()
+
+    extend(0, degree)
+    return out
+
+
+def _permutahedron_points(partitions) -> tuple[tuple[int, ...], ...]:
+    """The distinct rearrangements of the weakly decreasing ``partitions``, lex-descending, with no sort.
+
+    On the list of ``_rado_partitions``, whose first entry is the top mu,
+    these are the lattice points of the permutahedron P(mu), in the order of
+    the LP fallback's candidates.  When mu is (d, 0, ..., 0), P(mu) is the
+    simplex and they are every weak composition of d.  Otherwise the
+    partitions are grouped by a part taken out of them, largest part first;
+    a group's rearrangements follow that part, and groups met twice are
+    memoised.
+    """
+    top = partitions[0]
+    if not any(top[1:]):  # P((d, 0, ..., 0)) is the simplex: every weak composition of d
+        return tuple(_weak_refinements(trim(top[:1]), len(top)))
+    memo: dict = {}
+
+    def points(group: tuple) -> list[tuple[int, ...]]:
+        out = memo.get(group)
         if out is None:
-            out = dominated[s] = all(map(le, accumulate(s), bounds))
+            if len(group[0]) < 2:
+                out = list(group)
+            else:
+                rest: dict[int, list] = {}
+                for mu in group:
+                    for i, v in enumerate(mu):
+                        if i == 0 or mu[i - 1] != v:
+                            rest.setdefault(v, []).append(mu[:i] + mu[i + 1:])
+                out = [(v, *r) for v in sorted(rest, reverse=True) for r in points(tuple(rest[v]))]
+            memo[group] = out
         return out
 
-    if not all(map(below_top, shapes)):
-        return None
-    return tuple(
-        p
-        for p in _weak_refinements(trim((degree,)), nvars)
-        if below_top(tuple(sorted(p, reverse=True)))
-    )
+    return tuple(points(tuple(partitions)))
 
 
 def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     """Saturated-Newton-polytope check: hull lattice points versus support.
 
     A homogeneous support closed under permuting the variables, with one
-    dominance-largest sorted exponent, is decided by the permutahedron test
-    (Rado's theorem).  Any other support falls back to one exact phase-one
-    simplex (``in_convex_hull``) per candidate lattice point.
+    dominance-largest sorted exponent, is decided by Rado's rule on its
+    sorted exponents (``_rado_partitions``): it is saturated when it holds
+    every partition that its top dominates.  Any other support falls back
+    to one exact phase-one simplex (``in_convex_hull``) per candidate
+    lattice point.
     """
     if _check_instance(f, SparsePoly, "a SparsePoly").is_zero():
         raise ValueError("the zero polynomial has no Newton polytope")
     support = sorted(f.terms)
-    homogeneous = f.is_homogeneous()
-    inside = _permutahedron_points(f.terms, f.degree(), f.nvars) if homogeneous else None
-    if inside is None:
-        if homogeneous:
-            candidates = _weak_refinements(trim((f.degree(),)), f.nvars)
-        else:
-            lo = [min(e[i] for e in support) for i in range(f.nvars)]
-            hi = [max(e[i] for e in support) for i in range(f.nvars)]
-            candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        inside = tuple(p for p in candidates if in_convex_hull(p, support))
+    if f.is_homogeneous():
+        shapes = {tuple(sorted(e, reverse=True)) for e in support}
+        partitions = _rado_partitions(shapes, len(support))
+        if partitions is not None:
+            snp = shapes.issuperset(partitions)
+            # a saturated support is its own set of lattice points, lex-descending when reversed
+            points = tuple(reversed(support)) if snp else _permutahedron_points(partitions)
+            return LatticePolytopeCheck._of(tuple(support), points, snp)
+        candidates = _weak_refinements(trim((f.degree(),)), f.nvars)
+    else:
+        lo = [min(e[i] for e in support) for i in range(f.nvars)]
+        hi = [max(e[i] for e in support) for i in range(f.nvars)]
+        candidates = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    inside = tuple(p for p in candidates if in_convex_hull(p, support))
     return LatticePolytopeCheck._of(tuple(support), inside, all(p in f.terms for p in inside))

@@ -70,8 +70,8 @@ def _dumps(obj, pad: str = "\n") -> str:
     if obj is False:
         return "false"
     inner = pad + "  "
-    if type(obj) is list:
-        return _list_text([_dumps(v, inner) for v in obj], pad)
+    if type(obj) is list:  # an int item, the most common, is written here without a call
+        return _list_text([int.__repr__(v) if type(v) is int else _dumps(v, inner) for v in obj], pad)
     if type(obj) is dict:
         if not obj:
             return "{}"

@@ -391,18 +391,27 @@ def is_symmetric(f: SparsePoly) -> bool:
 
     Each term's coefficient must be the one at its exponent sorted into a
     partition.  Then the terms lie in the orbits of the partition exponents
-    of ``f``, and fill them exactly when the orbit sizes add up to the
-    number of terms.
+    of ``f``, and must fill them (``_fills_orbits``).
     """
     terms = _check_instance(f, SparsePoly, "a SparsePoly").terms
-    size = 0
+    shapes = []
     for exp, coef in terms.items():
         top = tuple(sorted(exp, reverse=True))
         if top == exp:
-            size += _orbit_size(exp)
+            shapes.append(exp)
         elif terms.get(top) != coef:
             return False
-    return size == len(terms)
+    return _fills_orbits(shapes, len(terms))
+
+
+def _fills_orbits(shapes, size: int) -> bool:
+    """True if the orbits of the distinct weakly decreasing ``shapes`` hold ``size`` points in all.
+
+    A support of ``size`` exponents whose sorted forms are the ``shapes`` lies
+    in their orbits, so it is closed under permuting the variables exactly
+    when this holds.
+    """
+    return sum(map(_orbit_size, shapes)) == size
 
 
 def _orbit_size(exp: tuple[int, ...]) -> int:

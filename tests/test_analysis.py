@@ -7,6 +7,7 @@ import pytest
 
 from oscitab.analysis import (
     _permutahedron_points,
+    _rado_partitions,
     hall_inner,
     has_snp,
     in_convex_hull,
@@ -16,7 +17,7 @@ from oscitab.analysis import (
     rational_rank,
     ssot_schur,
 )
-from oscitab.polyring import SparsePoly, schur_expand, ssot_poly
+from oscitab.polyring import SparsePoly, _orbit_size, _rearrangements, schur_expand, ssot_poly
 from oscitab.shapes import _weak_refinements, conjugate, dominance_leq, lambda_bar, partitions_of, trim, v_set
 from oscitab.tableaux import lr_coefficient
 
@@ -334,9 +335,61 @@ def _lp_points(f):
     )
 
 
+def _rule(f):
+    """Rado's rule on the sorted exponents of ``f``'s support, as ``has_snp`` applies it."""
+    return _rado_partitions({tuple(sorted(e, reverse=True)) for e in f.terms}, len(f.terms))
+
+
+def _orbits(*shapes):
+    """The polynomial with coefficient 1 at every rearrangement of each weakly decreasing shape."""
+    memo = {}
+    return SparsePoly(len(shapes[0]), {p: 1 for mu in shapes for p in _rearrangements(mu, memo)})
+
+
+def test_rado_partitions_match_a_dominance_filter():
+    # the partitions built part by part against a filter over every partition
+    # of the degree, for each top of degree <= 9 padded to 1..5 parts
+    for d in range(10):
+        for top in partitions_of(d):
+            for nvars in range(max(len(top), 1), 6):
+                pad = top + (0,) * (nvars - len(top))
+                want = [
+                    p + (0,) * (nvars - len(p))
+                    for p in partitions_of(d)
+                    if len(p) <= nvars and dominance_leq(p, top)
+                ]
+                assert _rado_partitions({pad}, _orbit_size(pad)) == want, (top, nvars)
+    assert _rado_partitions({()}, 1) == [()]
+
+
+def test_permutahedron_points_match_a_weak_composition_filter():
+    # the rearrangements of the partitions below each top of degree <= 6 in
+    # 1..4 variables against the weak compositions whose sorted form the top
+    # dominates, order included: the simplex tops (d, 0, ..., 0) and the rest
+    for d in range(7):
+        for top in partitions_of(d):
+            for nvars in range(max(len(top), 1), 5):
+                pad = top + (0,) * (nvars - len(top))
+                want = tuple(
+                    p
+                    for p in _weak_refinements(trim((d,)), nvars)
+                    if dominance_leq(trim(tuple(sorted(p, reverse=True))), top)
+                )
+                assert _permutahedron_points(_rado_partitions({pad}, _orbit_size(pad))) == want, (top, nvars)
+
+
+def test_rado_partitions_need_closure_and_a_top():
+    # one point short of the orbit of (2,1,0), and one point more
+    assert _rado_partitions({(2, 1, 0)}, 5) is None
+    assert _rado_partitions({(2, 1, 0)}, 7) is None
+    # the orbits of (3,3,0) and (4,1,1): neither dominates the other
+    assert _rado_partitions({(3, 3, 0), (4, 1, 1)}, 6) is None
+    assert _rado_partitions({(4, 1, 1), (3, 2, 1), (2, 2, 2)}, 10) == [(4, 1, 1), (3, 2, 1), (2, 2, 2)]
+
+
 def test_has_snp_permutahedron_matches_lp():
-    # the permutahedron test against one phase-one simplex per lattice point,
-    # order included, on every nonzero small SSOT polynomial
+    # Rado's rule against one phase-one simplex per lattice point, order
+    # included, on every nonzero small SSOT polynomial
     cases = 0
     for m in range(4):
         for lam in partitions_of(m):
@@ -345,15 +398,31 @@ def test_has_snp_permutahedron_matches_lp():
                     f = ssot_poly(lam, n, k)
                     if f.is_zero():
                         continue
-                    assert _permutahedron_points(f.terms, n, k) is not None
+                    partitions = _rule(f)
+                    assert partitions is not None
                     check = has_snp(f)
-                    assert check.polytope_points == _lp_points(f), (lam, n, k)
+                    assert check.polytope_points == _permutahedron_points(partitions) == _lp_points(f), (lam, n, k)
                     assert check.snp, (lam, n, k)
                     cases += 1
     assert cases == 64
     # a symmetric support decides the polytope whatever the coefficients
     f = SparsePoly(2, {(2, 0): 1, (0, 2): 3})
     assert has_snp(f).polytope_points == _lp_points(f) == ((2, 0), (1, 1), (0, 2))
+    # symmetric supports that miss lattice points of their permutahedron:
+    # x1^3 + x2^3 + x3^3, and the orbit of (2,1,0) without (1,1,1)
+    for f in (_orbits((3, 0, 0)), _orbits((2, 1, 0))):
+        check = has_snp(f)
+        assert _rule(f) is not None
+        assert check.polytope_points == _lp_points(f), f
+        assert not check.snp, f
+    assert len(has_snp(_orbits((3, 0, 0))).polytope_points) == 10
+
+
+def test_has_snp_lists_the_permutahedron_not_the_partitions_of_the_degree():
+    # p(200) is about 4 * 10**12; the segment from (200,0) to (0,200) holds 201 points
+    check = has_snp(SparsePoly(2, {(200, 0): 1, (0, 200): 1}))
+    assert check.polytope_points == tuple((200 - i, i) for i in range(201))
+    assert not check.snp
 
 
 def test_has_snp_fallbacks_match_lp():
@@ -364,7 +433,7 @@ def test_has_snp_fallbacks_match_lp():
         {(3, 3, 0): 1, (3, 0, 3): 1, (0, 3, 3): 1, (4, 1, 1): 1, (1, 4, 1): 1, (1, 1, 4): 1},
     )
     for f in (not_symmetric, no_top):
-        assert _permutahedron_points(f.terms, f.degree(), f.nvars) is None
+        assert _rule(f) is None
         assert has_snp(f).polytope_points == _lp_points(f)
     check = has_snp(no_top)
     assert (2, 2, 2) in check.polytope_points and not check.snp

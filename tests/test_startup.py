@@ -75,6 +75,7 @@ def test_analysis_is_reachable(statement):
 FRESH_CASES = [
     ("vset_21_7.txt", ["vset", "2,1", "7"]),
     ("snp_21_5_3.json.txt", ["snp", "2,1", "5", "3", "--json"]),
+    ("snp_21_5_3.txt", ["snp", "2,1", "5", "3"]),
     ("expand_schur_21_5.json.txt", ["expand-schur", "2,1", "5", "--json"]),
     ("inner_3_111_5.json.txt", ["inner-product", "3", "1,1,1", "5", "--json"]),
     ("n0_3_111.txt", ["n0", "3", "1,1,1"]),

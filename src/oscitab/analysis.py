@@ -34,7 +34,7 @@ from .shapes import (
     v_set,
 )
 from .tableaux import lr_product
-from .polyring import SparsePoly, _fills_orbits
+from .polyring import SparsePoly, _fills_orbits, _rearrangements
 
 
 class SchurExpansion(_Record):
@@ -299,37 +299,21 @@ def _rado_partitions(shapes, size: int):
 
 
 def _permutahedron_points(partitions) -> tuple[tuple[int, ...], ...]:
-    """The distinct rearrangements of the weakly decreasing ``partitions``, lex-descending, with no sort.
+    """The distinct rearrangements of the weakly decreasing ``partitions``, lex-descending.
 
     On the list of ``_rado_partitions``, whose first entry is the top mu,
     these are the lattice points of the permutahedron P(mu), in the order of
     the LP fallback's candidates.  When mu is (d, 0, ..., 0), P(mu) is the
-    simplex and they are every weak composition of d.  Otherwise the
-    partitions are grouped by a part taken out of them, largest part first;
-    a group's rearrangements follow that part, and groups met twice are
-    memoised.
+    simplex and they are every weak composition of d, listed in order.  For
+    any other top they are each partition's rearrangements from
+    ``polyring._rearrangements``, the lister that ``ssot_poly`` writes
+    through, with one memo, sorted.
     """
     top = partitions[0]
     if not any(top[1:]):  # P((d, 0, ..., 0)) is the simplex: every weak composition of d
         return tuple(_weak_refinements(trim(top[:1]), len(top)))
     memo: dict = {}
-
-    def points(group: tuple) -> list[tuple[int, ...]]:
-        out = memo.get(group)
-        if out is None:
-            if len(group[0]) < 2:
-                out = list(group)
-            else:
-                rest: dict[int, list] = {}
-                for mu in group:
-                    for i, v in enumerate(mu):
-                        if i == 0 or mu[i - 1] != v:
-                            rest.setdefault(v, []).append(mu[:i] + mu[i + 1:])
-                out = [(v, *r) for v in sorted(rest, reverse=True) for r in points(tuple(rest[v]))]
-            memo[group] = out
-        return out
-
-    return tuple(points(tuple(partitions)))
+    return tuple(sorted((p for mu in partitions for p in _rearrangements(mu, memo)), reverse=True))
 
 
 def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
@@ -338,7 +322,9 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     A homogeneous support closed under permuting the variables, with one
     dominance-largest sorted exponent, is decided by Rado's rule on its
     sorted exponents (``_rado_partitions``): it is saturated when it holds
-    every partition that its top dominates.  Any other support falls back
+    every partition that its top dominates.  A saturated support is its own
+    set of lattice points; an unsaturated one has them listed from those
+    partitions (``_permutahedron_points``).  Any other support falls back
     to one exact phase-one simplex (``in_convex_hull``) per candidate
     lattice point.
     """

@@ -206,11 +206,16 @@ def superstandard(lam: Partition) -> Tableau:
 
 def is_standard(T: Tableau) -> bool:
     """True if ``T`` is a semistandard tableau whose entries are 1, 2, ..., n, each once."""
-    return is_semistandard(T) and sorted(x for row in T for x in row) == list(range(1, sum(map(len, T)) + 1))
+    try:
+        T = check_tableau(T)
+    except ValueError:
+        return False
+    return sorted(x for row in T for x in row) == list(range(1, sum(map(len, T)) + 1))
 
 
 def standard_horizontal_bands(T: Tableau) -> list[int]:
     """Sizes of the maximal bands of consecutive entries running northEast."""
+    T = check_tableau(T)
     if not is_standard(T):
         raise ValueError("descent decomposition needs a standard tableau")
     pos = {x: (r + 1, c + 1) for r, row in enumerate(T) for c, x in enumerate(row)}

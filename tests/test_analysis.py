@@ -363,19 +363,24 @@ def test_rado_partitions_match_a_dominance_filter():
 
 
 def test_permutahedron_points_match_a_weak_composition_filter():
-    # the rearrangements of the partitions below each top of degree <= 6 in
-    # 1..4 variables against the weak compositions whose sorted form the top
-    # dominates, order included: the simplex tops (d, 0, ..., 0) and the rest
-    for d in range(7):
-        for top in partitions_of(d):
-            for nvars in range(max(len(top), 1), 5):
-                pad = top + (0,) * (nvars - len(top))
-                want = tuple(
-                    p
-                    for p in _weak_refinements(trim((d,)), nvars)
-                    if dominance_leq(trim(tuple(sorted(p, reverse=True))), top)
-                )
-                assert _permutahedron_points(_rado_partitions({pad}, _orbit_size(pad))) == want, (top, nvars)
+    # the rearrangements of the partitions below each top of degree <= 8 in
+    # 1..5 variables, and of the two-variable tops (199, 1) and (150, 50),
+    # against the weak compositions whose sorted form the top dominates,
+    # order included: the simplex tops (d, 0, ..., 0) and the rest
+    pads = [
+        top + (0,) * (nvars - len(top))
+        for d in range(9)
+        for top in partitions_of(d)
+        for nvars in range(max(len(top), 1), 6)
+    ]
+    for pad in pads + [(199, 1), (150, 50)]:
+        top = trim(pad)
+        want = tuple(
+            p
+            for p in _weak_refinements(trim((sum(pad),)), len(pad))
+            if dominance_leq(trim(tuple(sorted(p, reverse=True))), top)
+        )
+        assert _permutahedron_points(_rado_partitions({pad}, _orbit_size(pad))) == want, pad
 
 
 def test_rado_partitions_need_closure_and_a_top():

@@ -14,6 +14,7 @@ from oscitab.tableaux import (
     insertion_tableau,
     is_reverse_yamanouchi,
     is_semistandard,
+    is_standard,
     lr_coefficient,
     lr_product,
     lr_tableaux,
@@ -297,6 +298,12 @@ def test_bands_descents():
     assert step_syt(T) == 3
     assert des_syt(((1, 2, 3),)) == (3,)
     assert des_syt(((1,), (2,), (3,))) == (1, 1, 1)
+    # a one-shot iterable of rows is read once
+    assert not is_standard(iter([(1, 3)]))
+    assert is_standard(iter([(1, 2), (3,)]))
+    assert des_syt(iter([(1, 2), (3,)])) == (2, 1)
+    assert step_syt(iter([(1, 2), (3,)])) == 2
+    assert standard_horizontal_bands(iter(T)) == [3, 2, 2]
     with pytest.raises(ValueError):
         des_syt(((1, 1), (2,)))
     for bad in (None, 5, ((0,),), ((1, 2), (3, 4, 5)), ((2,), (1,))):

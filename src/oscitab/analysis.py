@@ -25,13 +25,14 @@ from .shapes import (
     _check_instance,
     _check_int,
     _even_conjugate_partitions,
+    _in_N,
     _memo,
+    _part,
     _tuple_of,
     _weak_refinements,
     check_partition,
     partitions_of,
     trim,
-    v_set,
 )
 from .tableaux import lr_product
 from .polyring import SparsePoly, _fills_orbits, _rearrangements
@@ -104,23 +105,24 @@ def hall_inner(lam: Partition, mu: Partition, n: int) -> int:
 
 
 def n_similar(lam: Partition, mu: Partition, n: int) -> bool:
-    """True when some partition of ``n`` is reachable from both shapes."""
+    """True when some partition of ``n`` is reachable from both shapes: ``n`` is admissible and at least ``n_zero``."""
     lam, mu = _same_size(lam, mu)
-    return bool(set(v_set(lam, n)) & set(v_set(mu, n)))
+    return _in_N(lam, _check_int(n, "length", 0)) and n >= n_zero(lam, mu)
 
 
 def n_zero(lam: Partition, mu: Partition) -> int:
-    """Smallest admissible length at which the two shapes become similar.
+    """Smallest admissible length at which the two shapes become similar: |lam| + 2 max(D, ceil(E/2)).
 
-    Searches m, m+2, ... up to m*m, which always suffices: both shapes reach
-    the square (m^m) by adding even vertical strips to the columns.
+    Here D = max_i |lam_i - mu_i| and E = sum_i (lam_i - mu_i)^+.  By the row
+    bounds of ``v_set``, a common shape at length |lam| + 2j lies between the
+    row-wise max of the two shapes and their row-wise min plus j.  Such a
+    partition exists exactly when j >= D and the row-wise max, of size
+    |lam| + E, fits in |lam| + 2j boxes; a larger j keeps it.
     """
     lam, mu = _same_size(lam, mu)
-    m = sum(lam)
-    for n in range(m, m * m + 1, 2):
-        if set(v_set(lam, n)) & set(v_set(mu, n)):
-            return n
-    raise RuntimeError(f"no similarity up to {m * m}; this contradicts the bound")
+    diffs = [_part(lam, i) - _part(mu, i) for i in range(max(len(lam), len(mu)))]
+    excess = sum(d for d in diffs if d > 0)
+    return sum(lam) + 2 * max(max(map(abs, diffs), default=0), (excess + 1) // 2)
 
 
 def rational_rank(matrix) -> int:

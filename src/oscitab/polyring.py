@@ -9,7 +9,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .shapes import Composition, Partition, _Record, _check_instance, _check_int, _composition, _in_N, _tuple_of
-from .shapes import _weak_refinements, check_partition, check_tableau_query, partitions_of, trim
+from .shapes import _partitions_of, _weak_refinements, check_partition, check_tableau_query, trim
 from .oscillating import _transitions
 
 
@@ -441,9 +441,7 @@ def schur_expand(f: SparsePoly) -> dict[Partition, int]:
     nvars, d = f.nvars, f.degree()
     out: dict[Partition, int] = {}
     found: dict[Partition, int] = {}  # sum of c_nu K(nu, mu) over the nu found so far
-    for mu in partitions_of(d):
-        if len(mu) > nvars:
-            continue
+    for mu in _partitions_of(d, d, min(d, nvars)):
         c = f.coefficient(mu + (0,) * (nvars - len(mu))) - found.get(mu, 0)
         if c:
             out[mu] = c

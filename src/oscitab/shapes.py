@@ -364,51 +364,43 @@ def check_tableau_query(lam, n: int, bound: int, bound_name: str) -> Partition:
     return check_shape_query(lam, n)
 
 
-def _vertical_strip_additions(lam: Partition, size: int) -> list[Partition]:
-    """All partitions obtained from the partition ``lam`` by adding one vertical strip of ``size`` >= 0 boxes."""
-    results: list[Partition] = []
-
-    def rec(i: int, remaining: int, prev: int, acc: list[int]):
-        if remaining == 0:
-            results.append(tuple(acc) + lam[i:])  # every part is at least 1
-            return
-        base = _part(lam, i)  # 0 below lam, so each new row takes a box and the strip ends
-        for add in (0, 1):
-            new = base + add
-            if new == 0 or new > prev:
-                continue
-            acc.append(new)
-            rec(i + 1, remaining - add, new, acc)
-            acc.pop()
-
-    rec(0, size, size + (lam[0] if lam else 0) + 1, [])
-    return results
-
-
 def v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
-    """Partitions of ``n`` reachable from ``lam`` by adding even-size vertical strips.
+    """Partitions of ``n`` reachable from ``lam`` by adding even-size vertical strips, lexicographically descending.
 
-    An even vertical strip is a chain of two-box ones (take off its two lowest
-    boxes and a partition is left), so two-box strips are added (n - |lam|)/2
-    times.  Empty when the parity or size constraint fails; ``ValueError``
-    for a non-partition shape or a negative ``n``.  Cached on the checked
-    shape, so a list and a shape with trailing zeros share one entry.
+    With j = (n - |lam|)/2 these are the partitions nu of ``n`` with
+    lam_i <= nu_i <= lam_i + j in every row (lam_i = 0 below ``lam``): an even
+    strip is a chain of two-box ones, each adding at most one box to a row,
+    and any such nu comes down to j - 1 by a two-box strip (the last box of
+    each row holding j boxes of nu/lam, lowest first, then of the lowest
+    other row of nu/lam).  Each part runs from its upper bound down, leaving
+    the boxes that the rows of ``lam`` below it need.  Empty when the parity
+    or size constraint fails; ``ValueError`` for a non-partition shape or a
+    negative ``n``.
     """
-    return _v_set(check_shape_query(lam, n), n)
-
-
-@_memo
-def _v_set(lam: Partition, n: int) -> tuple[Partition, ...]:
+    lam = check_shape_query(lam, n)
     if not _in_N(lam, n):
         return ()
-    layer = {lam}
-    for _ in range((n - sum(lam)) // 2):
-        layer = {nu for mu in layer for nu in _vertical_strip_additions(mu, 2)}
-    return tuple(sorted(layer, reverse=True))
+    j = (n - sum(lam)) // 2
+    out: list[Partition] = []
+    parts: list[int] = []
+
+    def rec(i: int, left: int, need: int, prev: int) -> None:
+        # ``left`` boxes go to rows i, i+1, ..., of which ``lam`` needs ``need``
+        if left == 0:
+            out.append(tuple(parts))
+            return
+        low = _part(lam, i)
+        for p in range(min(prev, low + j, left - need + low), max(low, 1) - 1, -1):
+            parts.append(p)
+            rec(i + 1, left - p, need - low, p)
+            parts.pop()
+
+    rec(0, n, sum(lam), n)
+    return tuple(out)
 
 
 def lambda_bar(lam: Partition, n: int) -> Partition:
-    """The dominance-maximum of ``v_set(lam, n)``: add (n-|lam|)/2 to the top two rows."""
+    """The dominance-maximum of ``v_set(lam, n)``: the top two rows take their upper bound lam_i + (n-|lam|)/2."""
     lam = check_partition(trim(lam))
     _check_in_N(lam, n)
     r = (n - sum(lam)) // 2
@@ -419,17 +411,24 @@ def lambda_bar(lam: Partition, n: int) -> Partition:
 def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of ``m``, lexicographically descending; ``ValueError`` unless ``m`` is an ``int`` >= 0."""
     _check_int(m, "size", 0)
-    return _partitions_of(m, m)
+    return _partitions_of(m, m, m)
 
 
 @_memo
-def _partitions_of(m: int, largest: int) -> tuple[Partition, ...]:
-    """Partitions of ``m`` with parts at most ``largest``, lexicographically descending."""
+def _partitions_of(m: int, largest: int, parts: int) -> tuple[Partition, ...]:
+    """Partitions of ``m`` with parts at most ``largest``, at most ``parts`` of them, lexicographically descending.
+
+    The first part is at least m/parts, so every branch ends in a partition
+    (``parts`` is 0 only when ``m`` is).  The rest goes in at most
+    ``min(parts - 1, rest)`` parts, so the calls with no bound on the parts
+    (``parts == m``) share their entries.
+    """
     if m == 0:
         return ((),)
     out = []
-    for first in range(min(m, largest), 0, -1):
-        out.extend((first,) + rest for rest in _partitions_of(m - first, first))
+    for first in range(min(m, largest), (m - 1) // parts, -1):
+        rest = m - first
+        out.extend((first,) + tail for tail in _partitions_of(rest, first, min(parts - 1, rest)))
     return tuple(out)
 
 

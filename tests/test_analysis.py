@@ -121,6 +121,35 @@ def test_similarity():
                 call(lam, mu)
 
 
+def n_zero_by_search(lam, mu):
+    """The first admissible length at which the two ``v_set``s meet, the oracle of ``n_zero`` and ``n_similar``."""
+    n = sum(lam)
+    while not set(v_set(lam, n)) & set(v_set(mu, n)):
+        n += 2
+    return n
+
+
+def test_similarity_closed_forms_match_the_search():
+    # n_zero by its formula and n_similar by its threshold, on every pair of equal size <= 7
+    cases = 0
+    for m in range(8):
+        for lam in partitions_of(m):
+            for mu in partitions_of(m):
+                n0 = n_zero_by_search(lam, mu)
+                assert n_zero(lam, mu) == n0, (lam, mu)
+                for n in range(n0 + 5):
+                    assert n_similar(lam, mu, n) == bool(set(v_set(lam, n)) & set(v_set(mu, n))), (lam, mu, n)
+                cases += 1
+    assert cases == 435
+
+
+def test_similarity_threshold_of_a_row_and_a_column():
+    # the search took seconds on shapes of this size; the formula is immediate
+    assert n_zero((30,), (1,) * 30) == 88
+    assert n_similar((30,), (1,) * 30, 88)
+    assert not n_similar((30,), (1,) * 30, 86)
+
+
 def test_hall_positive_implies_similar():
     # Schur supports sit inside the reachable sets, so positivity forces a
     # common reachable shape; the converse is false (see the pin below).

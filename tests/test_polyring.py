@@ -571,6 +571,11 @@ def test_schur_expand_errors():
         schur_expand(mixed)
 
 
+def test_schur_expand_lists_only_partitions_in_nvars_parts():
+    # x1^200 + x2^200 = s_(200) - s_(199,1); listing every partition of 200 would exhaust memory
+    assert schur_expand(SparsePoly(2, {(200, 0): 1, (0, 200): 1})) == {(200,): 1, (199, 1): -1}
+
+
 def test_lr_polynomial_oracle():
     # products of small Schur polynomials expand with LR multiplicities
     from oscitab.tableaux import lr_coefficient

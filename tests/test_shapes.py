@@ -3,7 +3,7 @@ from itertools import accumulate, product
 import pytest
 
 from oscitab.shapes import (
-    _v_set,
+    _part,
     _weak_refinements,
     conjugate,
     dominance_leq,
@@ -19,7 +19,6 @@ from oscitab.shapes import (
     refines,
     trim,
     v_set,
-    _vertical_strip_additions,
 )
 
 
@@ -184,12 +183,10 @@ def test_v_set_paper_examples():
     assert v_set((2, 1), 3) == ((2, 1),)
     assert v_set((2, 1), 4) == ()
     assert v_set((2, 1, 0), 5) == v_set((2, 1), 5)
-    # a list is checked like a tuple, and every spelling of one shape shares one cache entry
+    # a list is checked like a tuple, and every spelling of one shape gives the same set
     assert v_set([2, 1], 3) == ((2, 1),)
-    _v_set.cache_clear()
     for lam in ((2, 1), [2, 1], (2, 1, 0), [2, 1, 0]):
         assert v_set(lam, 5) == ((3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1))
-    assert _v_set.cache_info().currsize == 1
 
 
 def test_v_set_similarity_examples():
@@ -205,6 +202,27 @@ def test_v_set_members_contain_lambda():
                 for nu in v_set(lam, n):
                     assert sum(nu) == n
                     assert all(nu[i] >= (lam[i] if i < len(lam) else 0) for i in range(len(lam)))
+
+
+def _vertical_strip_additions(lam, size):
+    """All partitions obtained from the partition ``lam`` by adding one vertical strip of ``size`` >= 0 boxes."""
+    results = []
+
+    def rec(i, remaining, prev, acc):
+        if remaining == 0:
+            results.append(tuple(acc) + lam[i:])  # every part is at least 1
+            return
+        base = _part(lam, i)  # 0 below lam, so each new row takes a box and the strip ends
+        for add in (0, 1):
+            new = base + add
+            if new == 0 or new > prev:
+                continue
+            acc.append(new)
+            rec(i + 1, remaining - add, new, acc)
+            acc.pop()
+
+    rec(0, size, size + (lam[0] if lam else 0) + 1, [])
+    return results
 
 
 def v_set_by_all_even_strips(lam, n):
@@ -225,15 +243,14 @@ def v_set_by_all_even_strips(lam, n):
 
 
 def test_v_set_two_box_strips_match_all_even_strips():
-    # an even vertical strip is a chain of two-box ones, so v_set adds only those
+    # the row bounds of v_set give every shape that strips of every even size reach, in the same order
     cases = 0
-    for m in range(7):
+    for m in range(8):
         for lam in partitions_of(m):
             for n in range(m, m + 13):
-                _v_set.cache_clear()
                 assert v_set(lam, n) == v_set_by_all_even_strips(lam, n), (lam, n)
                 cases += 1
-    assert cases == 390
+    assert cases == 585
 
 
 def test_lambda_bar():

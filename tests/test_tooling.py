@@ -45,8 +45,7 @@ def test_benchmark_reset_rebuilds_the_transition_tables(monkeypatch):
 
 # one call to each memo that makes no nested call to the same memo
 MEMO_CALLS = {
-    "_v_set": ((2, 1), 5),
-    "_partitions_of": (0, 0),
+    "_partitions_of": (0, 0, 0),
     "_transitions": ((2, 1),),
     "_ssot_schur_items": ((2, 1), 5),
     "build_parser": (),

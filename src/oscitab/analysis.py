@@ -1,8 +1,9 @@
 """Schur expansions, Hall inner products, independence and Newton-polytope checks.
 
-Everything here is exact.  Schur coefficients are integers summed from one
-Littlewood-Richardson product per even-column shape, and the rank runs in
-integers by fraction-free elimination.  The saturated-Newton-polytope check
+Everything here is exact.  Schur coefficients are integers from one
+Littlewood-Richardson search that puts a shape's strips onto every
+even-column shape at once, and the rank runs in integers by fraction-free
+elimination.  The saturated-Newton-polytope check
 decides a symmetric homogeneous support by Rado's theorem, stated once on
 partitions: its Newton polytope is a permutahedron, whose lattice points
 are the rearrangements of the partitions that the top exponent dominates,
@@ -34,7 +35,7 @@ from .shapes import (
     partitions_of,
     trim,
 )
-from .tableaux import lr_product
+from .tableaux import _lr_strips
 from .polyring import SparsePoly, _fills_orbits, _rearrangements
 
 
@@ -68,11 +69,22 @@ class SchurExpansion(_Record):
 
 @_memo
 def _ssot_schur_items(lam: Partition, n: int) -> tuple[tuple[Partition, int], ...]:
-    """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu."""
-    total: dict[Partition, int] = {}
-    for beta in _even_conjugate_partitions(n - sum(lam)):
-        for nu, c in lr_product(lam, beta).items():
-            total[nu] = total.get(nu, 0) + c
+    """Sundaram's expansion sum_beta s_lam * s_beta, lex-descending in nu.
+
+    The betas are the partitions of n - |lam| with even conjugate.  When
+    none is smaller than lam, lam's strips go onto all of them in one
+    ``_lr_strips`` search, which merges fillings across the betas.
+    Otherwise each beta's strips go onto lam, the smaller shape onto the
+    larger, as in ``lr_product``.
+    """
+    betas = _even_conjugate_partitions(n - sum(lam))
+    if n - sum(lam) >= sum(lam):
+        total = _lr_strips(dict.fromkeys(betas, 1), lam)
+    else:
+        total = {}
+        for beta in betas:
+            for nu, c in _lr_strips({lam: 1}, beta).items():
+                total[nu] = total.get(nu, 0) + c
     return tuple(sorted(total.items(), reverse=True))
 
 

@@ -5,7 +5,8 @@ increase.  Row words read the bottom row first, left to right within rows.
 """
 
 from bisect import bisect_left, bisect_right
-from operator import le, lt
+from itertools import accumulate
+from operator import le, lt, sub
 
 from .shapes import (
     Box,
@@ -360,45 +361,58 @@ def lr_product(mu: Partition, lam: Partition) -> dict[Partition, int]:
     """Schur expansion of ``s_mu * s_lam``: each ``nu`` with its coefficient ``c^nu_{mu lam}``.
 
     The boxes of the smaller shape go onto the larger one, its row k as a
-    horizontal strip of k's.  The lattice rule prunes each strip while it is
-    built: the k's in rows <= r may not outnumber the (k-1)'s in rows < r.
-    So every branch ends in an LR filling, and only shapes in the support
-    are built.
+    horizontal strip of k's, in one layered search (``_lr_strips``).  The
+    lattice rule prunes each strip while it is built, so every branch ends
+    in an LR filling and only shapes in the support are built; fillings
+    that agree on their shape and lattice bounds are extended once.
     """
     mu, lam = (check_partition(trim(s)) for s in (mu, lam))
     if sum(lam) > sum(mu):
         mu, lam = lam, mu
-    out: dict[Partition, int] = {}
+    return _lr_strips({mu: 1}, lam)
 
-    def strip(k: int, shape: Partition, caps: list[int]) -> None:
-        # Row k of lam (0-based) goes in as the strip of label k + 1.  caps[r]
-        # counts the previous label in rows < r: the lattice bound on this
-        # label in rows <= r.  Only rows that end in an addable box take boxes.
-        if k == len(lam):
-            out[shape] = out.get(shape, 0) + 1
-            return
-        base = shape + (0,)
-        corners = [0] + [r for r in range(1, len(base)) if base[r - 1] > base[r]]
-        rows = list(base)
 
-        def fill(i: int, left: int, done: int) -> None:
-            if left == 0:
-                nxt, below = [], 0
-                for p, q in zip(rows, base):
-                    nxt.append(below)
-                    below += p - q
-                strip(k + 1, tuple(p for p in rows if p), nxt + [below])
-                return
-            r = corners[i]
-            old = rows[r]
-            room = left if r == 0 else base[r - 1] - old  # one box per column
-            # the rows below r hold at most old boxes
-            for a in range(max(0, left - old), min(left, room, caps[r] - done) + 1):
-                rows[r] = old + a
-                fill(i + 1, left - a, done + a)
-            rows[r] = old
+def _lr_strips(starts: dict[Partition, int], lam: Partition) -> dict[Partition, int]:
+    """Sum of ``c * s_start * s_lam`` over the ``starts`` and their multiplicities ``c``.
 
-        fill(0, lam[k], 0)
+    Row k of ``lam`` goes onto every state as a horizontal strip of k's, one
+    strip at a time.  The lattice rule prunes each strip while it is built:
+    the k's in rows <= r may not outnumber the (k-1)'s in rows < r.  So
+    every branch ends in an LR filling, and only shapes in the support are
+    built.  A state is a shape with those lattice bounds: fillings that
+    agree on both are carried once, with the sum of their multiplicities,
+    and after the last strip they are merged by shape alone.
+    """
+    if not lam:
+        return dict(starts)
+    # label 1 has no lattice bound: its own strip's size is bound enough
+    layer = {(shape, (lam[0],) * (len(shape) + 1)): c for shape, c in starts.items()}
+    for k, size in enumerate(lam):
+        last = k == len(lam) - 1
+        out: dict = {}
+        for (shape, caps), mult in layer.items():
+            # caps[r] counts label k in rows < r: the lattice bound on label
+            # k + 1 in rows <= r.  Only rows that end in an addable box take boxes.
+            base = shape + (0,)
+            corners = [0] + [r for r in range(1, len(base)) if base[r - 1] > base[r]]
+            rows = list(base)
 
-    strip(0, mu, [sum(lam)] * (len(mu) + 1))  # label 1 has no lattice bound
-    return out
+            def fill(i: int, left: int, done: int) -> None:
+                if left == 0:
+                    new = tuple(rows) if rows[-1] else tuple(rows[:-1])
+                    if not last:
+                        new = (new, tuple(accumulate(map(sub, new, base), initial=0)))
+                    out[new] = out.get(new, 0) + mult
+                    return
+                r = corners[i]
+                old = rows[r]
+                room = left if r == 0 else base[r - 1] - old  # one box per column
+                # the rows below r hold at most old boxes
+                for a in range(max(0, left - old), min(left, room, caps[r] - done) + 1):
+                    rows[r] = old + a
+                    fill(i + 1, left - a, done + a)
+                rows[r] = old
+
+            fill(0, size, 0)
+        layer = out
+    return layer

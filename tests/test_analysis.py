@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -18,7 +19,7 @@ from oscitab.analysis import (
     ssot_schur,
 )
 from oscitab.polyring import SparsePoly, _orbit_size, _rearrangements, schur_expand, ssot_poly
-from oscitab.shapes import _weak_refinements, conjugate, dominance_leq, lambda_bar, partitions_of, trim, v_set
+from oscitab.shapes import _part, _weak_refinements, conjugate, dominance_leq, lambda_bar, partitions_of, trim, v_set
 from oscitab.tableaux import lr_coefficient
 
 
@@ -200,6 +201,57 @@ def test_ssot_schur_matches_lr_coefficient_loop():
     for lam, n in cases:
         expansion = ssot_schur(lam, n)
         assert list(expansion.coefficients.items()) == schur_items_by_lr_coefficient(lam, n), (lam, n)
+
+
+def hook_length_count(nu):
+    """f^nu, the number of standard tableaux of shape nu, by the hook-length formula."""
+    cols = conjugate(nu)
+    hooks = 1
+    for r, row in enumerate(nu):
+        for c in range(row):
+            hooks *= row - c + cols[c] - r - 1
+    return factorial(sum(nu)) // hooks
+
+
+def oscillating_walk_counts(n, top):
+    """Per length t <= n, the number of walks from () by one-box moves that end at each shape.
+
+    Only walks that can still end at ``top`` boxes or fewer at length n are
+    kept: at length t they have at most top + n - t boxes.
+    """
+    layer = {(): 1}
+    counts = [layer]
+    for t in range(1, n + 1):
+        nxt = {}
+        for shape, c in layer.items():
+            padded = shape + (0,)
+            for i, p in enumerate(padded):
+                moves = []
+                if i == 0 or padded[i - 1] > p:  # row i takes a box
+                    moves.append(padded[:i] + (p + 1,) + padded[i + 1 :])
+                if p > _part(padded, i + 1):  # row i gives one up
+                    moves.append(padded[:i] + (p - 1,) + padded[i + 1 :])
+                for new in map(trim, moves):
+                    if sum(new) <= top + n - t:
+                        nxt[new] = nxt.get(new, 0) + c
+        layer = nxt
+        counts.append(layer)
+    return counts
+
+
+def test_ssot_schur_counts_oscillating_walks():
+    # Sundaram's sum read at x1...xn: sum_nu c_nu f^nu oscillating tableaux of
+    # shape lam and length n, counted here by one-box moves from ()
+    walks = oscillating_walk_counts(22, 4)
+    cases = 0
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, 23, 2):
+                coefficients = ssot_schur(lam, n).coefficients
+                count = sum(c * hook_length_count(nu) for nu, c in coefficients.items())
+                assert count == walks[n].get(lam, 0), (lam, n)
+                cases += 1
+    assert cases == 125
 
 
 def fraction_rank(matrix):

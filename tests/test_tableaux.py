@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
-from oscitab.shapes import _is_partition, _northeast, partitions_of, v_set
+from oscitab.shapes import _even_conjugate_partitions, _is_partition, _northeast, partitions_of, v_set
 from oscitab.tableaux import (
     EMPTY,
+    _lr_strips,
     check_tableau,
     column_insert,
     column_unbump,
@@ -270,16 +271,37 @@ def test_lr_coefficient_trims_zeros_and_rejects_non_partitions():
             lr_product(*args)
 
 
+def product_by_lr_coefficient(mu, lam):
+    """The Schur expansion of s_mu * s_lam, one LR filling count per partition of the size."""
+    return {nu: c for nu in partitions_of(sum(mu) + sum(lam)) if (c := lr_coefficient(mu, lam, nu))}
+
+
 def test_lr_product_matches_lr_coefficient():
     shapes = [lam for m in range(5) for lam in partitions_of(m)]
     for mu in shapes:
         for lam in shapes:
-            expected = {
-                nu: c
-                for nu in partitions_of(sum(mu) + sum(lam))
-                if (c := lr_coefficient(mu, lam, nu))
-            }
-            assert lr_product(mu, lam) == expected, (mu, lam)
+            assert lr_product(mu, lam) == product_by_lr_coefficient(mu, lam), (mu, lam)
+
+
+def test_lr_strips_sums_products_over_weighted_starts():
+    # every start carries lam's strips at once, even a start smaller than lam;
+    # each start's product by the LR filling count, weighted by its multiplicity
+    small = [mu for m in range(4) for mu in partitions_of(m)]
+    start_sets = [
+        {},
+        {mu: i + 1 for i, mu in enumerate(small)},  # mixed sizes
+        dict.fromkeys(partitions_of(4), 2),
+        dict.fromkeys(_even_conjugate_partitions(6), 1),
+        {(1,): 3, (): 2},
+    ]
+    lams = [(), (1,), (2, 1), (3, 1), (2, 2), (1, 1, 1, 1), (1,) * 5]
+    for starts in start_sets:
+        for lam in lams:
+            expected = {}
+            for mu, c in starts.items():
+                for nu, d in product_by_lr_coefficient(mu, lam).items():
+                    expected[nu] = expected.get(nu, 0) + c * d
+            assert _lr_strips(starts, lam) == expected, (starts, lam)
 
 
 def test_lr_symmetry_small():

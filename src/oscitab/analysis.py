@@ -3,7 +3,7 @@
 Everything here is exact.  Schur coefficients are integers from one
 Littlewood-Richardson search that puts a shape's strips onto every
 even-column shape at once, and the rank runs in integers by fraction-free
-elimination.  The saturated-Newton-polytope check
+elimination on primitive rows.  The saturated-Newton-polytope check
 decides a symmetric homogeneous support by Rado's theorem, stated once on
 partitions: its Newton polytope is a permutahedron, whose lattice points
 are the rearrangements of the partitions that the top exponent dominates,
@@ -16,6 +16,7 @@ the package's one value base, ``shapes._Record``.
 """
 
 from itertools import accumulate, product
+from math import gcd
 from operator import le
 from types import MappingProxyType
 
@@ -138,11 +139,21 @@ def n_zero(lam: Partition, mu: Partition) -> int:
 
 
 def rational_rank(matrix) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+    """Rank of an integer matrix by fraction-free elimination on primitive rows.
 
-    Every entry stays an integer: after each pivot the rows below are
-    cross-multiplied and divided exactly by the previous pivot.  Rows of
-    unequal length and entries that are not ``int`` raise ``ValueError``.
+    Each column's pivot is the first row at or below the rank with a
+    nonzero entry there.  A row below it with a 0 in the pivot column is
+    left as it is, so a matrix already in row-echelon form costs no row
+    operation; any other row becomes ``p * row - f * top`` divided by the
+    gcd of its entries, a gcd of 0 meaning that the row became zero.
+    Entries stay no larger than in Bareiss elimination.  After k pivots a
+    row is zero in the k pivot columns and lies in the span of the pivot
+    rows and itself, which fixes it up to a scalar; and each row is either
+    primitive or still a row of the input.  So Bareiss's row at that step,
+    whose entries are minors of the matrix, is an integer multiple of it,
+    and the product before a division is no larger than Bareiss's.
+    Rows of unequal length and entries that are not ``int`` raise
+    ``ValueError``.
     """
     try:
         rows = [list(row) for row in matrix]
@@ -154,7 +165,7 @@ def rational_rank(matrix) -> int:
             raise ValueError(f"rows of unequal length: {len(row)} and {ncols}")
         if any(type(x) is not int for x in row):
             raise ValueError(f"matrix entries must be integers, got {row}")
-    rank, last = 0, 1
+    rank = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
@@ -164,8 +175,10 @@ def rational_rank(matrix) -> int:
         p = top[col]
         for r in range(rank + 1, len(rows)):
             f = rows[r][col]
-            rows[r] = [(p * a - f * b) // last for a, b in zip(rows[r], top)]
-        last = p
+            if f:
+                row = [p * a - f * b for a, b in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
         if rank == len(rows):
             break

@@ -321,11 +321,12 @@ def test_criterion_09_property_suites():
 
 def test_criterion_10_independence():
     start = time.perf_counter()
-    for m in range(1, 6):
-        assert independence_rank(m, m + 2) == len(partitions_of(m)), m
+    for m in range(1, 10):
+        for n in (m + 2, m + 4):
+            assert independence_rank(m, n) == len(partitions_of(m)), (m, n)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    report(10, "Schur-coefficient matrices have full rank for sizes 1..5", elapsed)
+    report(10, "Schur-coefficient matrices have full rank for sizes 1..9 at lengths m + 2 and m + 4", elapsed)
 
 
 def test_criterion_11_snp():

@@ -289,6 +289,45 @@ def test_rational_rank_matches_fraction_oracle():
         assert rational_rank(matrix) == fraction_rank(matrix), matrix
         full = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
         assert rational_rank(full) == fraction_rank(full), full
+    # rank-deficient products of up to 12 x 15 with factor entries up to 10^6
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 15)
+        inner = rng.randint(1, min(nrows, ncols) - 1)
+        left = [[rng.randint(-10**6, 10**6) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(ncols)] for _ in range(inner)]
+        matrix = [
+            [sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left
+        ]
+        assert rational_rank(matrix) == fraction_rank(matrix) <= inner, matrix
+
+
+@pytest.mark.parametrize(
+    "matrix,rank",
+    [
+        # the second row becomes zero at the first pivot, with columns still to go
+        ([[2, 1, 0], [4, 2, 0], [0, 0, 3]], 2),
+        # the third row becomes zero at the second pivot
+        ([[1, 2, 3], [0, 1, 1], [1, 3, 4]], 2),
+        ([[1, 2, 3, 4], [2, 4, 6, 8], [1, 2, 3, 5], [0, 0, 0, 7]], 2),
+        # negative pivots
+        ([[-3, 1], [2, 5]], 2),
+        ([[-2, 4, 6], [-1, 2, 3], [5, -1, -7]], 2),
+        ([[0, -5, 1], [-7, 2, 2], [7, 3, -3]], 2),
+        # an all-zero first column, and zero columns between the pivots
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 2),
+        ([[0, 0, 3, 0, 1], [0, 0, 6, 0, 2], [0, 0, 0, 0, 4]], 2),
+        # rows that are primitive, and rows whose content is more than 1
+        ([[1, 2, 3], [2, 3, 5], [3, 5, 8]], 2),
+        ([[6, 4, 2], [9, 6, 3], [10, 0, 5]], 2),
+        ([[6, 10, 14], [3, 5, 8], [12, 20, 28]], 2),
+        ([[4, 8], [6, 10]], 2),
+        ([[12, 18, 30], [8, 12, 21], [20, 30, 51]], 2),
+    ],
+)
+def test_rational_rank_edge_cases(matrix, rank):
+    assert rational_rank(matrix) == fraction_rank(matrix) == rank
+    transpose = [list(col) for col in zip(*matrix)]
+    assert rational_rank(transpose) == fraction_rank(transpose) == rank
 
 
 @pytest.mark.parametrize(
@@ -315,6 +354,26 @@ def test_rational_rank():
     assert rational_rank([[0, 0], [0, 0]]) == 0
     assert rational_rank([]) == 0
     assert rational_rank([[2, 3, 5], [4, 6, 10], [1, 1, 1]]) == 2
+
+
+def test_independence_matrix_is_in_echelon_form_with_unit_pivots():
+    # row lam's lex-largest nu is lam + (j, j), with coefficient c(lam, (j, j); lam + (j, j)) = 1
+    for m in range(8):
+        lams = partitions_of(m)
+        for n in range(m, m + 9, 2):
+            j = (n - m) // 2
+            index = {nu: i for i, nu in enumerate(partitions_of(n))}
+            leads = []
+            for lam in lams:
+                row = [0] * len(index)
+                for nu, c in ssot_schur(lam, n).coefficients.items():
+                    row[index[nu]] = c
+                lead = next(i for i, c in enumerate(row) if c)
+                assert lead == index[trim((_part(lam, 0) + j, _part(lam, 1) + j, *lam[2:]))], (lam, n)
+                assert row[lead] == 1, (lam, n)
+                leads.append(lead)
+            assert all(a < b for a, b in zip(leads, leads[1:])), (m, n)
+            assert independence_rank(m, n) == len(lams), (m, n)
 
 
 def test_independence_rank_examples():

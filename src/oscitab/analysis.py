@@ -2,8 +2,9 @@
 
 Everything here is exact.  Schur coefficients are integers from one
 Littlewood-Richardson search that puts a shape's strips onto every
-even-column shape at once, and the rank runs in integers by fraction-free
-elimination on primitive rows.  The saturated-Newton-polytope check
+even-column shape at once, with one search closure per strip, not one per
+filling; and the rank runs in integers by fraction-free elimination on
+primitive rows.  The saturated-Newton-polytope check
 decides a symmetric homogeneous support by Rado's theorem, stated once on
 partitions: its Newton polytope is a permutahedron, whose lattice points
 are the rearrangements of the partitions that the top exponent dominates,
@@ -186,17 +187,22 @@ def rational_rank(matrix) -> int:
 
 
 def independence_rank(m: int, n: int) -> int:
-    """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``."""
+    """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``.
+
+    Its columns are the partitions of ``n`` that some row holds, in the
+    lex-descending order of ``partitions_of``.
+    """
     _check_int(m, "size", 0)
     if type(n) is not int or n < m or (n - m) % 2:
         raise ValueError(f"length {n!r} not admissible for size {m}: need n >= {m} and n == {m} (mod 2)")
-    lams = partitions_of(m)
-    nus = partitions_of(n)
+    items = [_ssot_schur_items(lam, n) for lam in partitions_of(m)]
+    # only the nu that some row holds, lex-descending as in partitions_of(n)
+    nus = sorted({nu for pairs in items for nu, _ in pairs}, reverse=True)
     index = {nu: j for j, nu in enumerate(nus)}
     matrix = []
-    for lam in lams:
+    for pairs in items:
         row = [0] * len(nus)
-        for nu, c in _ssot_schur_items(lam, n):
+        for nu, c in pairs:
             row[index[nu]] = c
         matrix.append(row)
     return rational_rank(matrix)

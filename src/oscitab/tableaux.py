@@ -382,6 +382,12 @@ def _lr_strips(starts: dict[Partition, int], lam: Partition) -> dict[Partition, 
     built.  A state is a shape with those lattice bounds: fillings that
     agree on both are carried once, with the sum of their multiplicities,
     and after the last strip they are merged by shape alone.
+
+    The search of a strip is one closure, defined once per strip: the loop
+    over states rebinds the ``base``, ``caps``, ``corners``, ``rows`` and
+    ``mult`` it reads.  A row bounds its boxes by comparisons, and the row
+    that takes the strip's last box records the filling; the last corner,
+    the new bottom row, takes what is left in one step, with no bound to check.
     """
     if not lam:
         return dict(starts)
@@ -390,29 +396,40 @@ def _lr_strips(starts: dict[Partition, int], lam: Partition) -> dict[Partition, 
     for k, size in enumerate(lam):
         last = k == len(lam) - 1
         out: dict = {}
-        for (shape, caps), mult in layer.items():
-            # caps[r] counts label k in rows < r: the lattice bound on label
-            # k + 1 in rows <= r.  Only rows that end in an addable box take boxes.
-            base = shape + (0,)
-            corners = [0] + [r for r in range(1, len(base)) if base[r - 1] > base[r]]
-            rows = list(base)
 
-            def fill(i: int, left: int, done: int) -> None:
-                if left == 0:
-                    new = tuple(rows) if rows[-1] else tuple(rows[:-1])
-                    if not last:
-                        new = (new, tuple(accumulate(map(sub, new, base), initial=0)))
-                    out[new] = out.get(new, 0) + mult
-                    return
-                r = corners[i]
-                old = rows[r]
-                room = left if r == 0 else base[r - 1] - old  # one box per column
+        def fill(i: int, left: int, done: int) -> None:
+            # 0 < left; corner i takes a boxes, and the corners below it the rest
+            r = corners[i]
+            old = rows[r]
+            if old:
+                hi = base[r - 1] - old if r else left  # one box per column
+                cap = caps[r] - done
+                if hi > cap:
+                    hi = cap
                 # the rows below r hold at most old boxes
-                for a in range(max(0, left - old), min(left, room, caps[r] - done) + 1):
+                for a in range(left - old if left > old else 0, hi + 1 if hi < left else left):
                     rows[r] = old + a
                     fill(i + 1, left - a, done + a)
                 rows[r] = old
+                if hi < left:
+                    return
+            # else r is the new bottom row, and no bound there is ever short of
+            # left: the corner above left it no more than the row above holds,
+            # and its lattice bound is the previous strip's size, no less than this one's
+            rows[r] = old + left
+            new = tuple(rows) if rows[-1] else tuple(rows[:-1])
+            if not last:
+                new = (new, tuple(accumulate(map(sub, new, base), initial=0)))
+            out[new] = out.get(new, 0) + mult
+            rows[r] = old
 
+        for (shape, caps), mult in layer.items():
+            # caps[r] counts label k in rows < r: the lattice bound on label
+            # k + 1 in rows <= r.  Only rows that end in an addable box take
+            # boxes, and the last of them is the new bottom row, with old == 0.
+            base = shape + (0,)
+            corners = [0] + [r for r in range(1, len(base)) if base[r - 1] > base[r]]
+            rows = list(base)
             fill(0, size, 0)
         layer = out
     return layer

@@ -2,7 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,7 +20,7 @@ from oscitab.analysis import (
 )
 from oscitab.polyring import SparsePoly, _orbit_size, _rearrangements, schur_expand, ssot_poly
 from oscitab.shapes import _part, _weak_refinements, conjugate, dominance_leq, lambda_bar, partitions_of, trim, v_set
-from oscitab.tableaux import lr_coefficient
+from oscitab.tableaux import lr_coefficient, lr_product
 
 
 def test_ssot_schur_paper_example():
@@ -213,6 +213,17 @@ def hook_length_count(nu):
     return factorial(sum(nu)) // hooks
 
 
+def test_lr_product_counts_standard_tableaux():
+    # s_mu * s_lam read at the standard tableaux: sum_nu c(mu, lam; nu) f^nu
+    # interleaves a standard filling of mu with one of lam, for every mu of up
+    # to 10 boxes and lam of up to 6, sizes no LR filling listing reaches
+    f = {nu: hook_length_count(nu) for m in range(17) for nu in partitions_of(m)}
+    for mu in (mu for m in range(11) for mu in partitions_of(m)):
+        for lam in (lam for m in range(7) for lam in partitions_of(m)):
+            count = sum(c * f[nu] for nu, c in lr_product(mu, lam).items())
+            assert count == comb(sum(mu) + sum(lam), sum(lam)) * f[mu] * f[lam], (mu, lam)
+
+
 def oscillating_walk_counts(n, top):
     """Per length t <= n, the number of walks from () by one-box moves that end at each shape.
 
@@ -358,12 +369,14 @@ def test_rational_rank():
 
 def test_independence_matrix_is_in_echelon_form_with_unit_pivots():
     # row lam's lex-largest nu is lam + (j, j), with coefficient c(lam, (j, j); lam + (j, j)) = 1
+    # independence_rank keeps only the columns that some row holds; its rank
+    # must be that of this dense build over every partition of n
     for m in range(8):
         lams = partitions_of(m)
-        for n in range(m, m + 9, 2):
+        for n in range(m, m + 11, 2):
             j = (n - m) // 2
             index = {nu: i for i, nu in enumerate(partitions_of(n))}
-            leads = []
+            leads, matrix = [], []
             for lam in lams:
                 row = [0] * len(index)
                 for nu, c in ssot_schur(lam, n).coefficients.items():
@@ -372,14 +385,16 @@ def test_independence_matrix_is_in_echelon_form_with_unit_pivots():
                 assert lead == index[trim((_part(lam, 0) + j, _part(lam, 1) + j, *lam[2:]))], (lam, n)
                 assert row[lead] == 1, (lam, n)
                 leads.append(lead)
+                matrix.append(row)
             assert all(a < b for a, b in zip(leads, leads[1:])), (m, n)
-            assert independence_rank(m, n) == len(lams), (m, n)
+            assert independence_rank(m, n) == rational_rank(matrix) == len(lams), (m, n)
 
 
 def test_independence_rank_examples():
     assert independence_rank(3, 5) == 3
     assert independence_rank(1, 1) == 1
     assert independence_rank(4, 6) == 5
+    assert independence_rank(6, 30) == 11  # 3,645 of the p(30) = 5,604 partitions of 30 occur
     for m, n in ((3, 4), (-1, 1), (-2, 0), (2, 4.0), (2.0, 4), (True, 1), (2, True)):
         with pytest.raises(ValueError):
             independence_rank(m, n)

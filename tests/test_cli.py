@@ -42,6 +42,9 @@ GOLDEN_CASES = [
     ("vset_21_7.json.txt", ["vset", "2,1", "7", "--json"]),
     ("n0_3_111.json.txt", ["n0", "3", "1,1,1", "--json"]),
     ("expand_schur_21_5.txt", ["expand-schur", "2,1", "5"]),
+    # n - |lam| >= |lam|: lam's strips go onto every even-column beta at once
+    ("expand_schur_211_14.txt", ["expand-schur", "2,1,1", "14"]),
+    ("expand_schur_211_14.json.txt", ["expand-schur", "2,1,1", "14", "--json"]),
     ("inner_3_111_5.txt", ["inner-product", "3", "1,1,1", "5"]),
     ("independence_3_5.txt", ["independence", "3", "5"]),
     ("snp_21_5_3.txt", ["snp", "2,1", "5", "3"]),

@@ -277,9 +277,8 @@ def product_by_lr_coefficient(mu, lam):
 
 
 def test_lr_product_matches_lr_coefficient():
-    shapes = [lam for m in range(5) for lam in partitions_of(m)]
-    for mu in shapes:
-        for lam in shapes:
+    for mu in (mu for m in range(7) for mu in partitions_of(m)):
+        for lam in (lam for m in range(5) for lam in partitions_of(m)):
             assert lr_product(mu, lam) == product_by_lr_coefficient(mu, lam), (mu, lam)
 
 
@@ -295,13 +294,16 @@ def test_lr_strips_sums_products_over_weighted_starts():
         {(1,): 3, (): 2},
     ]
     lams = [(), (1,), (2, 1), (3, 1), (2, 2), (1, 1, 1, 1), (1,) * 5]
-    for starts in start_sets:
-        for lam in lams:
-            expected = {}
-            for mu, c in starts.items():
-                for nu, d in product_by_lr_coefficient(mu, lam).items():
-                    expected[nu] = expected.get(nu, 0) + c * d
-            assert _lr_strips(starts, lam) == expected, (starts, lam)
+    # and Sundaram's starts, the even-column betas of 8 and 10 boxes, with every lam of 1..4 boxes
+    small_lams = [lam for m in range(1, 5) for lam in partitions_of(m)]
+    cases = [(starts, lam) for starts in start_sets for lam in lams]
+    cases += [(dict.fromkeys(_even_conjugate_partitions(b), 1), lam) for b in (8, 10) for lam in small_lams]
+    for starts, lam in cases:
+        expected = {}
+        for mu, c in starts.items():
+            for nu, d in product_by_lr_coefficient(mu, lam).items():
+                expected[nu] = expected.get(nu, 0) + c * d
+        assert _lr_strips(starts, lam) == expected, (starts, lam)
 
 
 def test_lr_symmetry_small():

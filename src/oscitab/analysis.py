@@ -189,19 +189,25 @@ def rational_rank(matrix) -> int:
 def independence_rank(m: int, n: int) -> int:
     """Rank of the Schur-coefficient matrix of all SSOT functions of size ``m``.
 
-    Its columns are the partitions of ``n`` that some row holds, in the
-    lex-descending order of ``partitions_of``.
+    Its columns are the partitions of ``n`` that some row holds: each
+    row's lex-largest nu first, in row order, then the others as they first
+    occur.  Row lam's lex-largest nu is lam + (j, j) with coefficient 1, and
+    these leaders fall lex-descending with the rows, each row holding no nu
+    lex-larger than its own; so the matrix is in echelon form with unit
+    pivots, and ``rational_rank`` makes no row operation on it.
     """
     _check_int(m, "size", 0)
     if type(n) is not int or n < m or (n - m) % 2:
         raise ValueError(f"length {n!r} not admissible for size {m}: need n >= {m} and n == {m} (mod 2)")
     items = [_ssot_schur_items(lam, n) for lam in partitions_of(m)]
-    # only the nu that some row holds, lex-descending as in partitions_of(n)
-    nus = sorted({nu for pairs in items for nu, _ in pairs}, reverse=True)
-    index = {nu: j for j, nu in enumerate(nus)}
+    index = {pairs[0][0]: j for j, pairs in enumerate(items)}  # every row holds a nu
+    for pairs in items:
+        for nu, _ in pairs:
+            if nu not in index:
+                index[nu] = len(index)
     matrix = []
     for pairs in items:
-        row = [0] * len(nus)
+        row = [0] * len(index)
         for nu, c in pairs:
             row[index[nu]] = c
         matrix.append(row)

@@ -121,12 +121,17 @@ def _listed_qyot(lam: Partition, n: int, k: int, limit: int):
     Yields each tableau's OT as ``(chain, kinds, des)`` (its steps are
     ``_qyot_steps`` of them), box rows (as ``render_boxes`` builds them), run
     (the letters with a bar at each descent, as ``Run`` prints it) and
-    descent composition.  The query must have been checked.
+    descent composition.  Each distinct descent composition's letters and
+    run are built once per call.  The query must have been checked.
     """
+    runs: dict[tuple[int, ...], tuple] = {}  # per descent set: letters, run and composition
     for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
-        comp = _descent_composition(des, n)
-        letters = [letter for letter, size in enumerate(comp, 1) for _ in range(size)]
-        run = "|".join([str(letter) * size for letter, size in enumerate(comp, 1)])
+        got = runs.get(des)
+        if got is None:
+            comp = _descent_composition(des, n)
+            letters = [letter for letter, size in enumerate(comp, 1) for _ in range(size)]
+            got = runs[des] = letters, "|".join([str(letter) * size for letter, size in enumerate(comp, 1)]), comp
+        letters, run, comp = got
         yield (chain, kinds, des), oscillating._box_rows(letters, boxes), run, comp
 
 
@@ -142,22 +147,27 @@ def cmd_enumerate_qyot(args) -> None:
         for _, rows, run, _ in listed:
             print(f"{fmt_tableau(rows):<32} {run}")
         return
-    shapes: dict[Partition, str] = {}  # each partition's text at the indent of "deleted" and "reached"
+    steps: dict[tuple[Partition, Partition], str] = {}  # each step's _QYOT_STEP text
+    comps: dict[tuple[int, ...], str] = {}  # each composition's text as "descent_composition"
 
-    def shape(p: Partition) -> str:
-        return shapes.get(p) or shapes.setdefault(p, _dumps(list(p), "\n          "))
+    def new_step(step: tuple[Partition, Partition]) -> str:
+        text = steps[step] = _QYOT_STEP % tuple(_dumps(list(shape), "\n          ") for shape in step)
+        return text
 
     text = _dumps({"partition": list(lam), "length": args.n, "max_step": args.k, "count": count, "tableaux": []})
     separator = text[: -len("[]\n}")] + "["  # the tableaux come last, so their empty list ends the text
     for ot, rows, run, comp in listed:
+        comp_text = comps.get(comp)
+        if comp_text is None:
+            comp_text = comps[comp] = _list_text(list(map(str, comp)), "\n      ")
         sys.stdout.write(
             separator
             + _QYOT_ITEM
             % (
-                _list_text([_QYOT_STEP % (shape(d), shape(r)) for d, r in _qyot_steps(*ot)], "\n      "),
+                _list_text([steps.get(step) or new_step(step) for step in _qyot_steps(*ot)], "\n      "),
                 _list_text([_QYOT_ROW % '",\n          "'.join(row) for row in rows], "\n      "),
                 run,
-                _list_text(list(map(str, comp)), "\n      "),
+                comp_text,
             )
         )
         separator = ","

@@ -493,16 +493,19 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
     contents are the weak refinements of the descent composition, and letter
     ``v`` labels the events up to the ``v``-th partial sum.  One walk lists
     the tableaux and their descents, skipping those with more descents than
-    the letters allow.
+    the letters allow.  Each distinct descent set's cuts, the partial sums
+    of every content in its fiber, are built once per call.
     """
     lam = check_tableau_query(lam, n, max_letter, "max_letter")
     out: list[SSOT] = []
+    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # per descent set, its fiber's cuts
     for chain, _, kinds, des in _walk(lam, n, max_letter):
+        cuts = fibers.get(des)
+        if cuts is None:
+            comp = _descent_composition(des, n)
+            cuts = fibers[des] = [tuple(accumulate(c)) for c in _weak_refinements(comp, max_letter)]
         dels = _deletions(kinds)
-        out.extend(
-            SSOT._of(_steps(chain, dels, accumulate(c)))
-            for c in _weak_refinements(_descent_composition(des, n), max_letter)
-        )
+        out.extend([SSOT._of(_steps(chain, dels, ends)) for ends in cuts])
     return out
 
 

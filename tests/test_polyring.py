@@ -375,6 +375,79 @@ def test_weight_count_support_is_below_lambda_bar():
     assert checked > 300
 
 
+def coarsenings(mu):
+    # the compositions that merge adjacent parts of mu, mu among them
+    for merged in product((False, True), repeat=max(len(mu) - 1, 0)):
+        out = [mu[0]] if mu else []
+        for part, merge in zip(mu[1:], merged):
+            if merge:
+                out[-1] += part
+            else:
+                out.append(part)
+        yield tuple(out)
+
+
+def pieri_kostka(k):
+    # K(nu, mu) for every nu at once: horizontal strips of mu's parts, in turn,
+    # in at most k rows; strips memoised per (shape, part)
+    strips = {}
+
+    def kostka_row(mu):
+        layer = {(): 1}
+        for q in mu:
+            nxt = Counter()
+            for shape, c in layer.items():
+                key = shape, q
+                if key not in strips:
+                    strips[key] = [
+                        nu for nu in strip_supershapes(shape, q) if sum(nu) == sum(shape) + q and len(nu) <= k
+                    ]
+                for nu in strips[key]:
+                    nxt[nu] += c
+            layer = nxt
+        return layer
+
+    return kostka_row
+
+
+def weight_count_grid(n_max):
+    # every lam of at most 4 boxes, admissible n <= n_max, k in {3, 5, 8}, with
+    # _weight_counts(lam, n, k) at every partition of n with at most k parts
+    for m in range(5):
+        for lam in partitions_of(m):
+            for n in range(m, n_max + 1, 2):
+                for k in (3, 5, 8):
+                    counts = _weight_counts(lam, n, k)
+                    mus = [mu for mu in partitions_of(n) if len(mu) <= k]
+                    assert set(counts) <= set(mus), (lam, n, k)
+                    yield lam, n, k, {mu: counts.get(mu, 0) for mu in mus}
+
+
+def test_weight_counts_match_gessels_f_expansion_on_partitions():
+    # [x^mu] of sum_alpha c_alpha F_alpha(x1..xk) is the sum of c_alpha over the
+    # coarsenings alpha of mu, at sizes the polynomial does not reach
+    cases = 0
+    for lam, n, k, counts in weight_count_grid(13):
+        terms = f_expansion(lam, n, k)
+        for mu, count in counts.items():
+            assert count == sum(terms.get(a, 0) for a in coarsenings(mu)), (lam, n, k, mu)
+        cases += 1
+    assert cases == 207
+
+
+def test_weight_counts_match_sundarams_schur_expansion_on_partitions():
+    # [x^mu] of sum_nu c_nu s_nu(x1..xk) is sum_nu c_nu K(nu, mu) over the nu of
+    # at most k parts, with c_nu from Sundaram's LR sum and K from a Pieri walk
+    cases = 0
+    for lam, n, k, counts in weight_count_grid(15):
+        coefficients = ssot_schur(lam, n).coefficients
+        kostka_row = pieri_kostka(k)
+        for mu, count in counts.items():
+            assert count == sum(coefficients.get(nu, 0) * K for nu, K in kostka_row(mu).items()), (lam, n, k, mu)
+        cases += 1
+    assert cases == 243
+
+
 def test_descent_count_edge_cases():
     assert f_expansion((), 0, 1) == {(): 1}
     assert ssot_poly((), 0, 3) == SparsePoly.one(3)

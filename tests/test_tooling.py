@@ -2,13 +2,16 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from oscitab.shapes import _memo
 
-OSCBENCH = Path(__file__).resolve().parents[1] / "oscbench"
+ROOT = Path(__file__).resolve().parents[1]
+OSCBENCH = ROOT / "oscbench"
 TRACING = OSCBENCH / "tracing.py"
 RUN = OSCBENCH / "run.py"
 
@@ -92,3 +95,26 @@ def test_a_memo_keeps_no_exception_and_counts_as_lru_cache():
         info = memo.cache_info()
         counts.append((info.misses, info.hits, info.currsize))
     assert counts[0] == counts[1] == (2, 2, 1)
+
+
+# a line of the CI step that diffs the CLI entry point against a golden file
+CI_DIFF = re.compile(r"\s*PYTHONPATH=src python -m oscitab\.cli (.+) \| diff - tests/golden/(\S+)")
+
+
+def test_golden_files_cases_and_ci_diffs_agree():
+    # tests/golden/, test_cli.GOLDEN_CASES and the CI diff step name the same files, each with the same argv
+    from test_cli import GOLDEN_CASES
+
+    files = sorted(p.name for p in (ROOT / "tests" / "golden").iterdir())
+    cases = {}
+    for name, argv in GOLDEN_CASES:
+        # a file argument is written relative to the root of the repository, as CI runs there
+        cases[name] = [Path(a).resolve().relative_to(ROOT).as_posix() if Path(a).is_absolute() else a for a in argv]
+    ci = {}
+    for line in (ROOT / ".github" / "workflows" / "tier1.yml").read_text().splitlines():
+        m = CI_DIFF.fullmatch(line)
+        if m:
+            assert m[2] not in ci, m[2]
+            ci[m[2]] = shlex.split(m[1])
+    assert len(cases) == len(GOLDEN_CASES)
+    assert sorted(ci) == files and cases == ci

@@ -298,11 +298,15 @@ class LatticePolytopeCheck(_Record):
         super().__init__(_int_points(support, "support"), _int_points(polytope_points, "polytope points"), snp)
 
 
-def _rado_partitions(shapes, size: int):
+_ZERO_HULL = "the zero polynomial has no Newton polytope"
+
+
+def _rado_partitions(shapes, size: int | None):
     """Rado's rule: the sorted lattice points of a homogeneous support's Newton polytope, or None.
 
     ``shapes`` are the distinct sorted exponents of a support of ``size``
-    terms, weakly decreasing and all of one length and sum.  If the support
+    terms, weakly decreasing and all of one length and sum; a ``size`` of
+    None says that the support is the union of their orbits.  If the support
     is closed under permuting the variables (``polyring._fills_orbits``) and
     the lex-largest shape mu dominates every other, the Newton polytope is
     the permutahedron P(mu), and by Rado's theorem its lattice points are
@@ -312,7 +316,7 @@ def _rado_partitions(shapes, size: int):
     within mu's, and each part large enough that the parts left, none
     larger, can make up the sum.  Any other support gives None.
     """
-    if not _fills_orbits(shapes, size):
+    if size is not None and not _fills_orbits(shapes, size):
         return None
     top = max(shapes)
     bounds = tuple(accumulate(top))
@@ -335,6 +339,26 @@ def _rado_partitions(shapes, size: int):
 
     extend(0, degree)
     return out
+
+
+def _symmetric_snp(shapes):
+    """Rado's rule on a symmetric support given by its partitions: ``(snp, partitions)``, or None.
+
+    ``shapes`` holds the distinct weakly decreasing exponents of one length
+    and sum, as a set or a dict's keys, such as a symmetric polynomial's
+    coefficients at partitions; the support is the union of their orbits,
+    so it is closed under permuting the variables by construction, and no
+    term is looked at.  ``partitions`` are those of ``_rado_partitions``,
+    and ``snp`` is whether ``shapes`` holds each of them, as in ``has_snp``.
+    None when no shape dominates the others.  The empty support raises the
+    ``ValueError`` of ``has_snp`` on the zero polynomial.
+    """
+    if not shapes:
+        raise ValueError(_ZERO_HULL)
+    partitions = _rado_partitions(shapes, None)
+    if partitions is None:
+        return None
+    return all(p in shapes for p in partitions), partitions
 
 
 def _permutahedron_points(partitions) -> tuple[tuple[int, ...], ...]:
@@ -365,10 +389,11 @@ def has_snp(f: SparsePoly) -> LatticePolytopeCheck:
     set of lattice points; an unsaturated one has them listed from those
     partitions (``_permutahedron_points``).  Any other support falls back
     to one exact phase-one simplex (``in_convex_hull``) per candidate
-    lattice point.
+    lattice point.  A polynomial known to be symmetric is decided on its
+    partitions alone by ``_symmetric_snp``, with the same answer.
     """
     if _check_instance(f, SparsePoly, "a SparsePoly").is_zero():
-        raise ValueError("the zero polynomial has no Newton polytope")
+        raise ValueError(_ZERO_HULL)
     support = sorted(f.terms)
     if f.is_homogeneous():
         shapes = {tuple(sorted(e, reverse=True)) for e in support}

@@ -16,7 +16,8 @@ from types import SimpleNamespace
 from . import analysis, correspondences, oscillating, polyring
 from .correspondences import SundaramPair, TwoRowArray
 from .oscillating import SSOT, _qyot_steps
-from .shapes import Partition, _check_int, _descent_composition, _is_partition, _memo, v_set
+from .polyring import _term_text, _weight_counts
+from .shapes import Partition, _check_int, _descent_composition, _is_partition, _memo, check_tableau_query, v_set
 
 
 def parse_partition(text: str) -> Partition:
@@ -91,6 +92,26 @@ def _list_text(items: list[str], pad: str) -> str:
 
 def emit_json(obj) -> None:
     print(_dumps(obj))
+
+
+def _write_joined(texts, first: str, sep: str, last: str, empty: str) -> None:
+    """Write ``first``, the ``texts`` joined by ``sep``, then ``last``; or ``empty`` alone when there are none.
+
+    The texts are read and written a thousand at a time, so an iterator of
+    them is never held whole.
+    """
+    texts = iter(texts)
+    lead = None
+    while chunk := list(islice(texts, 1024)):
+        sys.stdout.write((first if lead is None else sep) + sep.join(chunk))
+        lead = sep
+    sys.stdout.write(empty if lead is None else last)
+
+
+def _write_list(texts, pad: str) -> None:
+    """Write the JSON list that ``_list_text`` makes of the item ``texts``, as ``_write_joined`` writes."""
+    inner = pad + "  "
+    _write_joined(texts, "[" + inner, "," + inner, pad + "]", "[]")
 
 
 def load_ssot(path: str) -> SSOT:
@@ -212,13 +233,59 @@ def cmd_expand_schur(args) -> None:
         print(f"{fmt_parts(nu):<16} {c}")
 
 
+def _symmetric_counts(lam: Partition, n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The nonzero coefficients of ``ssot_poly(lam, n, k)`` at partitions, each padded with zeros to ``k`` parts.
+
+    The polynomial is symmetric, so they fix it: its coefficient at any
+    exponent is the one at that exponent sorted.
+    """
+    lam = check_tableau_query(lam, n, k, "k")
+    return {mu + (0,) * (k - len(mu)): c for mu, c in _weight_counts(lam, n, k).items()}
+
+
+def _terms(counts: dict[tuple[int, ...], int], n: int, k: int):
+    """The terms ``(exp, coef)`` of the symmetric polynomial of degree ``n`` in ``k`` variables with these ``counts``.
+
+    They come lex-descending, which is ``SparsePoly``'s graded order on one
+    degree, in lists: every weak composition of ``n`` into ``k`` parts is
+    looked up at its sorted form.  A list holds the compositions that share
+    all but their last ``t`` = min(k, 3) parts, so it has at most
+    (n + 1)(n + 2)/2 entries, and nothing else is kept.
+    """
+    t = min(k, 3)
+    get = counts.get
+
+    def walk(prefix: tuple[int, ...], left: int):
+        if len(prefix) < k - t:
+            for part in range(left, -1, -1):
+                yield from walk((*prefix, part), left - part)
+            return
+        if t == 3:
+            tails = [(a, b, left - a - b) for a in range(left, -1, -1) for b in range(left - a, -1, -1)]
+        else:
+            tails = [(a, left - a) for a in range(left, -1, -1)] if t == 2 else [(left,)]
+        yield [(exp, c) for exp in [prefix + e for e in tails] if (c := get(tuple(sorted(exp, reverse=True))))]
+
+    return walk((), n)
+
+
+# a term of ssot-poly --json, as _dumps writes SparsePoly.to_dict(); "exp" takes
+# the list template of the exponent's length, and the coefficient is an int
+_POLY_TERM = '{\n      "exp": %s,\n      "coef": "%%d"\n    }'
+
+
 def cmd_ssot_poly(args) -> None:
+    """Write the terms from the partition counts, lex-descending, as ``print`` and ``to_dict`` write the polynomial."""
     lam = parse_partition(args.partition)
-    f = polyring.ssot_poly(lam, args.n, args.k)
+    terms = _terms(_symmetric_counts(lam, args.n, args.k), args.n, args.k)
     if args.json:
-        emit_json(f.to_dict())
+        term = _POLY_TERM % _list_text(["%d"] * args.k, "\n      ")
+        sys.stdout.write(_dumps({"nvars": args.k, "terms": []})[: -len("[]\n}")])  # the terms come last
+        _write_list((term % (*exp, c) for chunk in terms for exp, c in chunk), "\n  ")
+        sys.stdout.write("\n}\n")
         return
-    print(f)
+    # every count is positive, so no joint reads " - "
+    _write_joined((_term_text(exp, c) for chunk in terms for exp, c in chunk), "", " + ", "\n", "0\n")
 
 
 def cmd_burge(args) -> None:
@@ -294,22 +361,37 @@ def cmd_independence(args) -> None:
 
 
 def cmd_snp(args) -> None:
+    """Decide by Rado's rule on the partition counts; the verdict, support and points are ``has_snp``'s.
+
+    Only a support with no dominance-largest partition, which no SSOT
+    polynomial has, builds the polynomial and asks ``has_snp``.
+    """
     lam = parse_partition(args.partition)
-    f = polyring.ssot_poly(lam, args.n, args.k)
-    check = analysis.has_snp(f)
-    if args.json:
-        emit_json(
-            {
-                "partition": list(lam),
-                "length": args.n,
-                "nvars": args.k,
-                "snp": check.snp,
-                "support": [list(e) for e in check.support],
-                "polytope_points": [list(e) for e in check.polytope_points],
-            }
-        )
+    n, k = args.n, args.k
+    counts = _symmetric_counts(lam, n, k)
+    rado = analysis._symmetric_snp(counts.keys())
+    if rado is None:
+        check = analysis.has_snp(polyring.ssot_poly(lam, n, k))
+        snp = check.snp
+    else:
+        snp, partitions = rado
+    if not args.json:
+        print("saturated" if snp else "not saturated")
         return
-    print("saturated" if check.snp else "not saturated")
+    point = _list_text(["%d"] * k, "\n    ")  # one exponent in either list
+    if rado is None:
+        points = [point % p for p in check.polytope_points]
+        support = [point % e for e in reversed(check.support)]
+    else:
+        support = [point % exp for chunk in _terms(counts, n, k) for exp, _ in chunk]
+        # a saturated support is its own set of lattice points
+        points = support if snp else [point % p for p in analysis._permutahedron_points(partitions)]
+    head = _dumps({"partition": list(lam), "length": n, "nvars": k, "snp": snp, "support": []})
+    sys.stdout.write(head[: -len("[]\n}")])  # the lists come last
+    _write_list(reversed(support), "\n  ")  # lex-ascending, as has_snp sorts it
+    sys.stdout.write(',\n  "polytope_points": ')
+    _write_list(points, "\n  ")
+    sys.stdout.write("\n}\n")
 
 
 def cmd_vset(args) -> None:

@@ -142,22 +142,7 @@ class SparsePoly(_Record):
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for exp, coef in self.sorted_terms():
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
-            if not mono:
-                bits.append(str(coef))
-            elif coef == 1:
-                bits.append(mono)
-            elif coef == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{coef}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return " + ".join([_term_text(exp, coef) for exp, coef in self.sorted_terms()]).replace("+ -", "- ")
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +168,21 @@ class SparsePoly(_Record):
             return cls(data["nvars"], terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial encoding: {exc}") from exc
+
+
+def _term_text(exp: tuple[int, ...], coef: int) -> str:
+    """One term as ``SparsePoly`` prints it: ``coef*x1^2*x3``, with a coefficient of 1 or -1 left as its sign.
+
+    Terms are joined by `` + ``, and a joint before a negative term reads `` - ``.
+    """
+    mono = "*".join([f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exp, 1) if e])
+    if not mono:
+        return str(coef)
+    if coef == 1:
+        return mono
+    if coef == -1:
+        return "-" + mono
+    return f"{coef}*{mono}"
 
 
 def monomial_qsym(b: Composition, k: int) -> SparsePoly:
@@ -291,7 +291,10 @@ def _weight_counts(lam: Partition, n: int, k: int) -> dict[Partition, int]:
     weakly decreasing, and the layer after ``q`` events of a block serves the
     part ``q`` and every longer one, so partitions with a common prefix share
     its layers.  A branch ends when its layer is empty; a part is not tried
-    when the parts left, none larger, cannot make up ``n``.
+    when the parts left, none larger, cannot make up ``n``.  These counts fix
+    the symmetric polynomial: ``ssot_poly`` writes each at every
+    rearrangement, and the CLI's ``snp`` and ``ssot-poly`` write from them
+    without building it.
     """
     if not _in_N(lam, n):
         return {}

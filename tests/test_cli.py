@@ -2,7 +2,7 @@ import argparse
 import json
 import random
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,6 +48,10 @@ GOLDEN_CASES = [
     ("inner_3_111_5.txt", ["inner-product", "3", "1,1,1", "5"]),
     ("independence_3_5.txt", ["independence", "3", "5"]),
     ("snp_21_5_3.txt", ["snp", "2,1", "5", "3"]),
+    # the zero polynomial, and the one exponent of degree 0
+    ("ssot_poly_21_3_1.txt", ["ssot-poly", "2,1", "3", "1"]),
+    ("ssot_poly_21_3_1.json.txt", ["ssot-poly", "2,1", "3", "1", "--json"]),
+    ("snp_empty_0_3.json.txt", ["snp", "-", "0", "3", "--json"]),
 ]
 
 
@@ -193,25 +197,89 @@ def test_sundaram_rejects_shape_entries_that_are_not_integers(entry, tmp_path, c
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+# every shape of at most 4 boxes, n <= 11 in both parities (so the zero
+# polynomial comes up, n = 0 included) and k <= 5
+ORACLE_QUERIES = [(lam, n, k) for m in range(5) for lam in partitions_of(m) for n in range(12) for k in range(1, 6)]
+
+
+def snp_json(lam, n, k, check) -> str:
+    """``oscitab snp --json`` as it was written from ``has_snp``'s record."""
+    return _dumps(
+        {
+            "partition": list(lam),
+            "length": n,
+            "nvars": k,
+            "snp": check.snp,
+            "support": [list(e) for e in check.support],
+            "polytope_points": [list(e) for e in check.polytope_points],
+        }
+    ) + "\n"
+
+
 def test_snp_text_matches_has_snp(capsys):
-    # the one-word verdict and the zero-polynomial error of text mode.  Both
-    # parities of n, so the zero polynomial comes up.
+    # snp decides on the partition counts; has_snp of the polynomial is the
+    # oracle of the verdict, the support and the points, and of the error
     codes = set()
-    for m in range(4):
-        for lam in partitions_of(m):
-            for n in range(m, m + 5):
-                for k in range(1, 5):
-                    code = main(["snp", cli.fmt_parts(lam), str(n), str(k)])
-                    captured = capsys.readouterr()
-                    f = polyring.ssot_poly(lam, n, k)
-                    if f.is_zero():
-                        assert (code, captured.out) == (1, ""), (lam, n, k)
-                        assert captured.err == "error: the zero polynomial has no Newton polytope\n"
-                    else:
-                        verdict = "saturated" if analysis.has_snp(f).snp else "not saturated"
-                        assert (code, captured.out) == (0, verdict + "\n"), (lam, n, k)
-                    codes.add(code)
+    for lam, n, k in ORACLE_QUERIES:
+        f = polyring.ssot_poly(lam, n, k)
+        for flag in ([], ["--json"]):
+            code = main(["snp", cli.fmt_parts(lam), str(n), str(k), *flag])
+            captured = capsys.readouterr()
+            codes.add(code)
+            if f.is_zero():
+                assert (code, captured.out) == (1, ""), (lam, n, k)
+                assert captured.err == "error: the zero polynomial has no Newton polytope\n"
+                continue
+            check = analysis.has_snp(f)
+            want = snp_json(lam, n, k, check) if flag else ("saturated" if check.snp else "not saturated") + "\n"
+            assert (code, captured.out) == (0, want), (lam, n, k, flag)
     assert codes == {0, 1}
+
+
+def test_ssot_poly_output_matches_the_polynomial(capsys):
+    # ssot-poly writes from the partition counts; the library's polynomial,
+    # printed and through to_dict, is the oracle
+    for lam, n, k in ORACLE_QUERIES:
+        f = polyring.ssot_poly(lam, n, k)
+        assert main(["ssot-poly", cli.fmt_parts(lam), str(n), str(k)]) == 0
+        assert capsys.readouterr().out == f"{f}\n", (lam, n, k)
+        assert main(["ssot-poly", cli.fmt_parts(lam), str(n), str(k), "--json"]) == 0
+        assert capsys.readouterr().out == _dumps(f.to_dict()) + "\n", (lam, n, k)
+
+
+def test_snp_and_ssot_poly_build_no_polynomial(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the CLI built the polynomial")
+
+    monkeypatch.setattr(polyring, "ssot_poly", refuse)
+    monkeypatch.setattr(polyring.SparsePoly, "_of", refuse)
+    monkeypatch.setattr(analysis, "has_snp", refuse)
+    for argv in (["snp", "2,1", "9", "4"], ["snp", "2,1", "9", "4", "--json"], ["ssot-poly", "2,1", "9", "4"]):
+        for flag in ([], ["--json"]):
+            assert main([*argv, *flag]) == 0, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {(2, 0): 1},  # a power sum: the walk lists the support, the permutahedron the points
+        {(4, 1, 1): 2, (2, 2, 2): 1},  # misses (3, 2, 1), which (4, 1, 1) dominates
+        {(3, 3, 0): 1, (4, 1, 1): 1},  # no dominance-largest partition: has_snp decides
+    ],
+    ids=["power-sum", "hole", "no-top"],
+)
+def test_snp_on_symmetric_supports_no_ssot_polynomial_has(counts, monkeypatch, capsys):
+    k, n = len(next(iter(counts))), sum(next(iter(counts)))
+    f = polyring.SparsePoly(k, {e: c for mu, c in counts.items() for e in set(permutations(mu))})
+    monkeypatch.setattr(cli, "_symmetric_counts", lambda lam, n, k: counts)
+    monkeypatch.setattr(polyring, "ssot_poly", lambda lam, n, k: f)
+    check = analysis.has_snp(f)
+    assert not check.snp
+    assert main(["snp", "-", str(n), str(k)]) == 0
+    assert capsys.readouterr().out == "not saturated\n"
+    assert main(["snp", "-", str(n), str(k), "--json"]) == 0
+    assert capsys.readouterr().out == snp_json((), n, k, check)
 
 
 def test_usage_error_exit_code():

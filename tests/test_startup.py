@@ -93,6 +93,26 @@ def test_cli_exit_codes_in_a_fresh_process():
     assert fresh_python("-m", "oscitab.cli", "--help").startswith(b"usage: oscitab [-h]")
 
 
+# run the CLI on the arguments given and print its peak resident set size in
+# kilobytes; from a small parent, since a child's peak starts at its parent's
+MEASURE_RSS = (
+    "import resource, subprocess, sys; "
+    "code = subprocess.run([sys.executable, '-S', '-m', 'oscitab.cli', *sys.argv[1:]], stdout=subprocess.DEVNULL).returncode; "
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+@pytest.mark.parametrize("argv", [["snp", "2,1", "15", "8"], ["ssot-poly", "2,1", "15", "8"]], ids=["snp", "ssot-poly"])
+def test_symmetric_outputs_use_little_memory_in_a_fresh_process(argv):
+    # both commands write from the 116 partition counts, not from the
+    # polynomial's 156,816 terms, which took about 70 MB; an interpreter that
+    # has imported the CLI and done nothing else takes about 14 MB
+    code, kilobytes = map(int, fresh_python("-c", MEASURE_RSS, *argv).split())
+    assert code == 0
+    assert kilobytes < 35 * 1024, f"{kilobytes / 1024:.1f} MB"
+
+
 @pytest.mark.parametrize(
     "argv,lines",
     [
@@ -100,11 +120,13 @@ def test_cli_exit_codes_in_a_fresh_process():
         # still writing when the reader takes one line and closes the pipe
         (["enumerate-qyot", "2,1", "9", "9"], 1),
         (["enumerate-qyot", "2,1", "9", "9", "--json"], 1),
+        # about 440 KB written from the partition counts, a thousand terms at a time
+        (["ssot-poly", "2,1", "11", "6", "--json"], 1),
         # the reader closes the pipe while the CLI is still starting up
         (["--help"], 0),
         (["vset", "-h"], 0),
     ],
-    ids=["text", "json", "help", "command-help"],
+    ids=["text", "json", "ssot-poly-json", "help", "command-help"],
 )
 def test_closed_standard_output_ends_without_a_traceback(argv, lines):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

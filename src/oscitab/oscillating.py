@@ -391,9 +391,10 @@ class _Table(dict):
 def _transitions(lam: Partition) -> _Table:
     """The transition table of ``lam``, one per shape for the life of the process.
 
-    The table is a pure function of ``lam``, so the descent-count DP and the
-    walk share it: a query reuses every state that earlier queries on the
-    same shape filled in.  ``_transitions.cache_clear()`` empties it.
+    The table is a pure function of ``lam``, so the counting programs of
+    ``polyring`` and the walk share it: a query reuses every state that
+    earlier queries on the same shape filled in.
+    ``_transitions.cache_clear()`` empties it.
     """
     return _Table(lam)
 
@@ -404,8 +405,8 @@ def _walk(lam: Partition, n: int, max_parts: int):
     Yields ``(chain, boxes, kinds, des)`` once per OT, ``des`` being its
     descent positions, read off the shared ``_transitions`` table of ``lam``
     as the walk goes, so it fills in the states it reaches for later queries.
-    As in the descent-count DP, a branch is dropped when its shape is
-    further from ``lam`` than the events left, or when a descent would make
+    A branch is dropped when its shape is further from ``lam`` than the
+    events left, as in the counting programs, or when a descent would make
     more than ``max_parts`` runs, so every branch taken ends in an OT that
     is yielded.  ``lam`` must be a partition and ``n`` nonnegative.
     """

@@ -5,7 +5,7 @@ Serialization order is graded lexicographic, largest first.
 """
 
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, prod
 from types import MappingProxyType
 
 from .shapes import Composition, Partition, _Record, _check_instance, _check_int, _composition, _in_N, _tuple_of
@@ -217,51 +217,80 @@ def schur_poly(lam: Partition, k: int) -> SparsePoly:
     return ssot_poly(lam, sum(lam), k)
 
 
-def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
-    """OTs of shape ``lam`` and length ``n`` counted by descent composition.
+# 2, 4 and 8 time alike on the fexpand benchmark; 4 leaves (3,2,1), n = 18, max_step = 7 on the faster sparse path
+_DENSE_SHARE = 4
 
-    Transfer-matrix method (Stanley, EC1 4.7): whether events j and j+1 are
+
+def _descent_counts(lam: Partition, n: int, max_step: int) -> dict[Composition, int]:
+    """OTs of shape ``lam`` and length ``n`` counted by descent composition, kept up to ``max_step`` parts.
+
+    One of two exact paths, chosen from ``n`` and ``max_step`` alone.  When
+    the descent sets of fewer than ``max_step`` elements are at least one in
+    ``_DENSE_SHARE`` of all 2^(n-1), the transfer-matrix method (Stanley,
+    EC1 4.7) counts every descent set at once: whether events j and j+1 are
     split by a descent depends on those two events only, so the OTs are
-    built one event at a time without listing them.  A layer maps each state
-    (shape, kind and box of the last event) to the descent sets reached so
-    far, as bitmasks with bit j for a descent after event j, and their
-    counts.  The moves and their descent flags come from the shared
-    ``_transitions`` table of ``lam``, which the OT walk reads too, so a
-    query on a shape seen before reuses the states already filled in.  A
-    branch is dropped when its shape is further from ``lam`` than the events
-    left, or when a descent would make more than ``max_step`` parts.  The
-    counts of the end states are summed by mask, and each distinct mask is
-    decoded once, straight into its composition.
+    built one event at a time on the shared ``_transitions`` table of
+    ``lam``, dropping a branch whose shape is further from ``lam`` than the
+    events left.  Each state carries one int of ``w``-byte slots, bit t - 1
+    of a slot's index standing for a descent before event t, so such a
+    descent shifts the int left by 2^(t-1) slots and each move is one
+    addition.  Every partial path extends to an OT, and there are
+    C(n, |lam|) (n - |lam| - 1)!! f^lam of them (Sundaram), at most
+    n! / (n - |lam|)!! as f^lam <= |lam|!.  ``w`` is the byte length of that
+    bound, so no slot carries into the next.
+
+    Otherwise the weight counts give the answer: [x^mu] ``ssot_poly`` is the
+    sum of c_alpha over the coarsenings alpha of mu (Gessel), so on cut sets
+    a(T) = sum of c(S) over S in T, and c is the subset Moebius inversion of
+    a (Stanley, EC1 2.1 and 3.8), a(T) being ``_weight_counts`` at the
+    sorted composition of T.  Every c is >= 0, so a(U) = 0 gives a(T) = 0
+    for T in U: the inversion runs in place over the support of a, and a cut
+    set missing from it is a zero.
     """
     if not _in_N(lam, n):
         return {}
     if n == 0:
         return {(): 1}
-    table = _transitions(lam)
-    layer = {((), None, None): {0: 1}}
-    for t in range(n):
-        left = n - 1 - t
-        bit = 1 << t
-        nxt_layer: dict = {}
-        for state, masks in layer.items():
-            for target, descends, dist in table[state]:
-                if dist > left:
-                    continue
-                acc = nxt_layer.setdefault(target, {})
-                if descends:
-                    for mask, c in masks.items():
-                        if mask.bit_count() + 2 <= max_step:
-                            acc[mask | bit] = acc.get(mask | bit, 0) + c
-                else:
-                    for mask, c in masks.items():
-                        acc[mask] = acc.get(mask, 0) + c
-        layer = nxt_layer
+    slots = 1 << (n - 1)
+    if slots <= _DENSE_SHARE * sum(comb(n - 1, j) for j in range(min(max_step, n))):
+        table = _transitions(lam)
+        m = sum(lam)
+        w = (factorial(n) // prod(range(n - m, 0, -2))).bit_length() + 7 >> 3
+        layer = {((), None, None): 1}
+        for t in range(n):
+            left = n - 1 - t
+            shift = 4 * w << t  # 2^(t-1) slots of 8w bits
+            nxt: dict = {}
+            for state, v in layer.items():
+                up = v << shift
+                for target, descends, dist in table[state]:
+                    if dist <= left:
+                        nxt[target] = nxt.get(target, 0) + (up if descends else v)
+            layer = nxt
+        data = sum(layer.values()).to_bytes(w * slots, "little")
+        # each composition of at most max_step parts with its slot's byte
+        # offset; a cut after p + 1 events, taken last to first, splits the
+        # first part, so the list runs lexicographically descending
+        cells = [((n,), 0)]
+        for p in range(n - 2, -1, -1):
+            cells += [((p + 1, a[0] - p - 1, *a[1:]), at + (w << p)) for a, at in cells if len(a) < max_step]
+        return {a: c for a, at in cells if (c := int.from_bytes(data[at:at + w], "little"))}
 
-    totals: dict[int, int] = {}
-    for masks in layer.values():
-        for mask, c in masks.items():
-            totals[mask] = totals.get(mask, 0) + c
-    return {_mask_composition(mask, n): c for mask, c in totals.items()}
+    g: dict[int, int] = {}
+    memo: dict = {}
+    for mu, c in _weight_counts(lam, n, max_step).items():
+        for alpha in _rearrangements(mu, memo):
+            mask = cut = 0
+            for part in alpha[:-1]:
+                cut += part
+                mask |= 1 << cut
+            g[mask] = c
+    for j in range(1, n):
+        bit = 1 << j
+        for mask in g:
+            if mask & bit:
+                g[mask] -= g.get(mask ^ bit, 0)
+    return {_mask_composition(mask, n): c for mask, c in g.items() if c}
 
 
 def _mask_composition(mask: int, n: int) -> Composition:
@@ -284,10 +313,10 @@ def _weight_counts(lam: Partition, n: int, k: int) -> dict[Partition, int]:
     The partitions are those of ``n`` with at most ``k`` parts.  By Gessel's
     rule the count at mu is [x^mu] ``ssot_poly``: relabelling an OT with the
     letters of weight mu, in order, gives an SSOT exactly when its letters
-    step up at every descent.  The layer loop is the one of
-    ``_descent_counts`` on the same ``_transitions`` table, but a state
-    carries a plain count: the events of each part form a block, and only a
-    block's first event may descend.  The parts are chosen depth first,
+    step up at every descent.  The OTs are built one event at a time on the
+    shared ``_transitions`` table of ``lam``, with a plain count per state
+    (shape, kind and box of the last event): the events of each part form a
+    block, and only a block's first event may descend.  The parts are chosen depth first,
     weakly decreasing, and the layer after ``q`` events of a block serves the
     part ``q`` and every longer one, so partitions with a common prefix share
     its layers.  A branch ends when its layer is empty; a part is not tried

@@ -21,6 +21,9 @@ GOLDEN_CASES = [
     ("qyot_21_5_3.txt", ["enumerate-qyot", "2,1", "5", "3"]),
     ("expand_f_21_5_3.txt", ["expand-f", "2,1", "5", "3"]),
     ("expand_f_21_5_3.json.txt", ["expand-f", "2,1", "5", "3", "--json"]),
+    # 56 admissible descent sets of 1,024: counted from the weight counts, not per descent set
+    ("expand_f_21_11_3.txt", ["expand-f", "2,1", "11", "3"]),
+    ("expand_f_21_11_3.json.txt", ["expand-f", "2,1", "11", "3", "--json"]),
     ("expand_schur_21_5.json.txt", ["expand-schur", "2,1", "5", "--json"]),
     ("burge_example.json.txt", ["burge", "4,2", "4,3", "7,2", "--json"]),
     ("burge_example.txt", ["burge", "4,2", "4,3", "7,2"]),

@@ -3,14 +3,16 @@ import pickle
 import random
 from collections import Counter
 from itertools import islice, permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
-from oscitab import analysis, correspondences, oscillating, shapes, tableaux
+from oscitab import analysis, correspondences, oscillating, polyring, shapes, tableaux
 from oscitab.analysis import ssot_schur
 from oscitab.oscillating import com, descent_data, enumerate_qyot, enumerate_ssot
 from oscitab.polyring import (
     SparsePoly,
+    _mask_composition,
     _weight_counts,
     f_expansion,
     fundamental_qsym,
@@ -34,6 +36,7 @@ from oscitab.shapes import (
 )
 from oscitab.tableaux import des_syt, enumerate_syt, ssyt_of_shape, weight
 
+from test_analysis import hook_length_count
 from test_oscillating import reference_ots, strip_subshapes, strip_supershapes
 
 
@@ -205,10 +208,122 @@ def test_f_expansion_paper_values():
     assert f_expansion((2, 1), 5, 2) == {(3, 2): 1, (2, 3): 1}
 
 
+def mask_dp_descent_counts(lam, n, max_step):
+    """OTs of shape ``lam`` and length ``n`` counted by descent composition: the oracle of ``f_expansion``.
+
+    Transfer-matrix method (Stanley, EC1 4.7): whether events j and j+1 are
+    split by a descent depends on those two events only, so the OTs are
+    built one event at a time without listing them.  A layer maps each state
+    (shape, kind and box of the last event) to the descent sets reached so
+    far, as bitmasks with bit j for a descent after event j, and their
+    counts.  The moves and their descent flags come from the shared
+    ``_transitions`` table of ``lam``.  A branch is dropped when its shape
+    is further from ``lam`` than the events left, or when a descent would
+    make more than ``max_step`` parts.  Reads no weight count.
+    """
+    if not _in_N(lam, n):
+        return {}
+    if n == 0:
+        return {(): 1}
+    table = oscillating._transitions(lam)
+    layer = {((), None, None): {0: 1}}
+    for t in range(n):
+        left = n - 1 - t
+        bit = 1 << t
+        nxt_layer: dict = {}
+        for state, masks in layer.items():
+            for target, descends, dist in table[state]:
+                if dist > left:
+                    continue
+                acc = nxt_layer.setdefault(target, {})
+                if descends:
+                    for mask, c in masks.items():
+                        if mask.bit_count() + 2 <= max_step:
+                            acc[mask | bit] = acc.get(mask | bit, 0) + c
+                else:
+                    for mask, c in masks.items():
+                        acc[mask] = acc.get(mask, 0) + c
+        layer = nxt_layer
+
+    totals: dict[int, int] = {}
+    for masks in layer.values():
+        for mask, c in masks.items():
+            totals[mask] = totals.get(mask, 0) + c
+    return {_mask_composition(mask, n): c for mask, c in totals.items()}
+
+
+def mask_dp_f_expansion(lam, n, max_step):
+    return dict(sorted(mask_dp_descent_counts(lam, n, max_step).items(), reverse=True))
+
+
+def is_dense(n, max_step):
+    return 2 ** (n - 1) <= polyring._DENSE_SHARE * sum(comb(n - 1, j) for j in range(min(max_step, n)))
+
+
+def test_f_expansion_matches_the_mask_dp():
+    # both paths, packed slots and Moebius inversion of the weight counts,
+    # against the per-state mask dictionaries: the same dict in the same order;
+    # below max_step = n + 1 the mask DP's answer is its answer there, cut
+    cases = dense = 0
+    for m in range(6):
+        for lam in partitions_of(m):
+            for n in range(14):
+                everything = mask_dp_f_expansion(lam, n, n + 1)
+                for k in range(1, n + 2):
+                    want = {a: c for a, c in everything.items() if len(a) <= k}
+                    assert list(f_expansion(lam, n, k).items()) == list(want.items()), (lam, n, k)
+                    cases += 1
+                    dense += n > 0 and is_dense(n, k)
+    assert (cases, dense) == (1995, 1444)
+
+
+def test_f_expansion_paths_meet_at_the_rule(monkeypatch):
+    # the least max_step on the dense side, and the one below it: only the
+    # sparse side reads the weight counts, and both match the mask DP
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _weight_counts(*args)
+
+    monkeypatch.setattr(polyring, "_weight_counts", counting)
+    sides = 0
+    for n in range(4, 16):
+        least = next(k for k in range(1, n + 1) if is_dense(n, k))
+        assert 1 < least < n, n
+        for lam in ((n - 2,), (n - 3, 1), trim((n % 2,))):
+            for k in (least - 1, least):
+                calls.clear()
+                assert f_expansion(lam, n, k) == mask_dp_f_expansion(lam, n, k), (lam, n, k)
+                assert calls == ([] if k == least else [(lam, n, k)]), (lam, n, k)
+                sides += 1
+    assert sides == 72
+
+
+def test_f_expansion_sums_to_the_ot_count_at_every_slot_width():
+    # at max_step = n the coefficients sum to Sundaram's OT count
+    # C(n, |lam|) (n - |lam| - 1)!! f^lam, which n! / (n - |lam|)!! bounds;
+    # the dense path packs each count into that bound's byte length
+    widths = set()
+    for lam, lengths in (
+        ((), (2, 10, 14)),
+        ((1,), (1, 9, 13, 17)),
+        ((2, 1), (5, 7, 11, 15)),
+        ((3, 2, 1), (6, 10, 14, 16)),
+    ):
+        m = sum(lam)
+        for n in lengths:
+            ots = comb(n, m) * prod(range(n - m - 1, 0, -2)) * hook_length_count(lam)
+            bound = factorial(n) // prod(range(n - m, 0, -2))
+            assert sum(f_expansion(lam, n, n).values()) == ots <= bound, (lam, n)
+            widths.add((bound.bit_length() + 7) // 8)
+    assert widths == {1, 2, 3, 4, 5}
+
+
 def test_f_expansion_oracle_exhaustive():
     # Gessel's identity, the paper's F-expansion: the generating polynomial,
     # built from one weight count per partition, equals sum c_a F_a over the
-    # descent compositions of the descent-count DP, up to n = 11
+    # descent compositions of the mask DP, up to n = 11
     cases = 0
     for m in range(5):
         for lam in partitions_of(m):
@@ -216,7 +331,7 @@ def test_f_expansion_oracle_exhaustive():
                 for k in range(1, 6):
                     cases += 1
                     rhs = Counter()
-                    for a, c in f_expansion(lam, n, k).items():
+                    for a, c in mask_dp_f_expansion(lam, n, k).items():
                         assert c > 0
                         for exp in fundamental_qsym(a, k).terms:
                             rhs[exp] += c
@@ -425,10 +540,11 @@ def weight_count_grid(n_max):
 
 def test_weight_counts_match_gessels_f_expansion_on_partitions():
     # [x^mu] of sum_alpha c_alpha F_alpha(x1..xk) is the sum of c_alpha over the
-    # coarsenings alpha of mu, at sizes the polynomial does not reach
+    # coarsenings alpha of mu, at sizes the polynomial does not reach; c from
+    # the mask DP, since f_expansion inverts these counts when k is small
     cases = 0
     for lam, n, k, counts in weight_count_grid(13):
-        terms = f_expansion(lam, n, k)
+        terms = mask_dp_f_expansion(lam, n, k)
         for mu, count in counts.items():
             assert count == sum(terms.get(a, 0) for a in coarsenings(mu)), (lam, n, k, mu)
         cases += 1

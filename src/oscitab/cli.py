@@ -139,21 +139,22 @@ _QYOT_ROW = '[\n          "%s"\n        ]'
 def _listed_qyot(lam: Partition, n: int, k: int, limit: int):
     """The first ``limit`` tableaux of ``enumerate-qyot``, one pass over the walk.
 
-    Yields each tableau's OT as ``(chain, kinds, des)`` (its steps are
+    Yields each tableau's OT as ``(chain, dels, des)`` (its steps are
     ``_qyot_steps`` of them), box rows (as ``render_boxes`` builds them), run
     (the letters with a bar at each descent, as ``Run`` prints it) and
-    descent composition.  Each distinct descent composition's letters and
-    run are built once per call.  The query must have been checked.
+    descent composition.  Each distinct descent composition's letters, as
+    strings, and run are built once per call.  The query must have been
+    checked.
     """
     runs: dict[tuple[int, ...], tuple] = {}  # per descent set: letters, run and composition
-    for chain, boxes, kinds, des in islice(oscillating._walk(lam, n, k), limit):
+    for chain, boxes, dels, des in islice(oscillating._walk(lam, n, k), limit):
         got = runs.get(des)
         if got is None:
             comp = _descent_composition(des, n)
-            letters = [letter for letter, size in enumerate(comp, 1) for _ in range(size)]
+            letters = [str(letter) for letter, size in enumerate(comp, 1) for _ in range(size)]
             got = runs[des] = letters, "|".join([str(letter) * size for letter, size in enumerate(comp, 1)]), comp
         letters, run, comp = got
-        yield (chain, kinds, des), oscillating._box_rows(letters, boxes), run, comp
+        yield (chain, dels, des), oscillating._box_rows(letters, boxes), run, comp
 
 
 def cmd_enumerate_qyot(args) -> None:

@@ -8,7 +8,7 @@ Burge pair (letter, ejected value).
 """
 
 from .shapes import Box, Partition, _Record, _check_instance, _tuple_of
-from .oscillating import ADD, SSOT, _step_events
+from .oscillating import ADD, DELETE, SSOT
 from .tableaux import (
     Tableau,
     _column_insert,
@@ -37,7 +37,8 @@ class TwoRowArray(_Record):
         super().__init__(pairs)
 
     def is_lexicographic(self) -> bool:
-        return all(self.pairs[i] <= self.pairs[i + 1] for i in range(len(self.pairs) - 1))
+        pairs = self.pairs
+        return all(map(tuple.__le__, pairs, pairs[1:]))
 
     def is_burge(self) -> bool:
         """Lexicographic with top > bottom in every pair.
@@ -46,12 +47,10 @@ class TwoRowArray(_Record):
         immutable, so it cannot go stale, and equality, hash, repr and
         pickling see only the pairs.
         """
-        try:
-            return self._burge
-        except AttributeError:
-            pass
-        burge = self.is_lexicographic() and all(t > b for t, b in self.pairs)
-        object.__setattr__(self, "_burge", burge)
+        burge = getattr(self, "_burge", None)  # a new array has no verdict yet
+        if burge is None:
+            burge = self.is_lexicographic() and all(t > b for t, b in self.pairs)
+            object.__setattr__(self, "_burge", burge)
         return burge
 
     def __len__(self) -> int:
@@ -136,21 +135,37 @@ class SundaramPair(_Record):
 def _replay(S: SSOT, pairs: list[Pair], cols: list[list[int]]) -> "Iterator[tuple[int, int, str, Box]]":
     """Apply the substeps of ``S`` to a pair list and a list of columns, in place.
 
-    Yields ``(m, letter, kind, box)`` after each substep.  The pairs come
-    out in lexicographic order, which ``_finish`` checks.
+    Walks the steps as ``sundaram_inverse`` undoes them: per step, the
+    deletions top row first, each row right to left, then the additions
+    bottom row first, each row left to right, the event order of
+    ``substep_events``.  Yields ``(m, letter, kind, box)`` after each
+    substep.  The pairs come out in lexicographic order, which ``_finish``
+    checks.
     """
-    for m, (u, box, kind) in enumerate(_step_events(_check_instance(S, SSOT, "an SSOT").steps), 1):
-        if kind == ADD:
-            # Nothing to check: S was checked when it was built, its additions
-            # are a horizontal strip added bottom row first, and every entry
-            # before them is a letter below u.  So the box is addable, and u is
-            # at least the entry to its left and greater than the one above.
-            if box[1] > len(cols):
-                cols.append([])
-            cols[box[1] - 1].append(u)
-        else:
-            pairs.append((u, _column_unbump(cols, box)))
-        yield m, u, kind, box
+    m = 0
+    prev: Partition = ()
+    for u, (deleted, reached) in enumerate(_check_instance(S, SSOT, "an SSOT").steps, 1):
+        for r, old in enumerate(prev):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(old, low, -1):
+                box = (r + 1, c)
+                pairs.append((u, _column_unbump(cols, box)))
+                m += 1
+                yield m, u, DELETE, box
+        # Nothing to check: S was checked when it was built, its additions
+        # are a horizontal strip added bottom row first, and every entry
+        # before them is a letter below u.  So each box is addable, and u is
+        # at least the entry to its left and greater than the one above.
+        for r in range(len(reached) - 1, -1, -1):
+            low = deleted[r] if r < len(deleted) else 0
+            for c in range(low, reached[r]):
+                if c == len(cols):  # only row 1 opens a column
+                    cols.append([u])
+                else:
+                    cols[c].append(u)
+                m += 1
+                yield m, u, ADD, (r + 1, c + 1)
+        prev = reached
 
 
 def _finish(pairs: list[Pair], cols: list[list[int]]) -> SundaramPair:

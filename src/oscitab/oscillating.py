@@ -300,7 +300,7 @@ def destandardize(S: SSOT) -> SSOT:
     """The unique quasi-Yamanouchi tableau with the same standardization."""
     events = substep_events(S)
     chain = replay_events(events.boxes, events.kinds)
-    return SSOT._of(_qyot_steps(chain, events.kinds, descent_positions(events)))
+    return SSOT._of(_qyot_steps(chain, _deletions(events.kinds), descent_positions(events)))
 
 
 def com(S: SSOT) -> Composition:
@@ -402,9 +402,11 @@ def _transitions(lam: Partition) -> _Table:
 def _walk(lam: Partition, n: int, max_parts: int):
     """Depth-first walk over the OTs of shape ``lam`` and length ``n`` with at most ``max_parts`` runs.
 
-    Yields ``(chain, boxes, kinds, des)`` once per OT, ``des`` being its
-    descent positions, read off the shared ``_transitions`` table of ``lam``
-    as the walk goes, so it fills in the states it reaches for later queries.
+    Yields ``(chain, boxes, dels, des)`` once per OT: ``dels[j]`` counts the
+    deletions among its first ``j`` events, and ``des`` holds its descent
+    positions, read off the shared ``_transitions`` table of ``lam`` as the
+    walk goes, so it fills in the states it reaches for later queries.  Both
+    are kept per prefix, so a leaf reads them and derives neither again.
     A branch is dropped when its shape is further from ``lam`` than the
     events left, as in the counting programs, or when a descent would make
     more than ``max_parts`` runs, so every branch taken ends in an OT that
@@ -415,12 +417,12 @@ def _walk(lam: Partition, n: int, max_parts: int):
     table = _transitions(lam)
     chain: list[Partition] = [()]
     boxes: list[Box] = []
-    kinds: list[str] = []
+    dels = [0]
     des: list[int] = []
 
     def rec(state, left: int):
         if left == 0:
-            yield tuple(chain), tuple(boxes), tuple(kinds), tuple(des)
+            yield tuple(chain), tuple(boxes), tuple(dels), tuple(des)
             return
         t = len(boxes)
         for target, descends, dist in table[state]:
@@ -433,11 +435,11 @@ def _walk(lam: Partition, n: int, max_parts: int):
             shape, kind, box = target
             chain.append(shape)
             boxes.append(box)
-            kinds.append(kind)
+            dels.append(dels[-1] + (kind == DELETE))
             yield from rec(target, left - 1)
             chain.pop()
             boxes.pop()
-            kinds.pop()
+            dels.pop()
             if descends:
                 des.pop()
 
@@ -469,9 +471,12 @@ def _deletions(kinds) -> list[int]:
     return list(accumulate((kind == DELETE for kind in kinds), initial=0))
 
 
-def _qyot_steps(chain, kinds, des) -> tuple[tuple[Partition, Partition], ...]:
-    """Steps of the quasi-Yamanouchi SSOT of an OT: step ``i`` holds the ``i``-th run between the descents ``des``."""
-    return _steps(chain, _deletions(kinds), (*des, len(kinds)))
+def _qyot_steps(chain, dels, des) -> tuple[tuple[Partition, Partition], ...]:
+    """Steps of the quasi-Yamanouchi SSOT of an OT: step ``i`` holds the ``i``-th run between the descents ``des``.
+
+    ``dels`` counts the deletions among the OT's first ``j`` events, for every ``j``.
+    """
+    return _steps(chain, dels, (*des, len(chain) - 1))
 
 
 def enumerate_ot(lam: Partition, n: int) -> list[OscillatingTableau]:
@@ -500,12 +505,11 @@ def enumerate_ssot(lam: Partition, n: int, max_letter: int) -> list[SSOT]:
     lam = check_tableau_query(lam, n, max_letter, "max_letter")
     out: list[SSOT] = []
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # per descent set, its fiber's cuts
-    for chain, _, kinds, des in _walk(lam, n, max_letter):
+    for chain, _, dels, des in _walk(lam, n, max_letter):
         cuts = fibers.get(des)
         if cuts is None:
             comp = _descent_composition(des, n)
             cuts = fibers[des] = [tuple(accumulate(c)) for c in _weak_refinements(comp, max_letter)]
-        dels = _deletions(kinds)
         out.extend([SSOT._of(_steps(chain, dels, ends)) for ends in cuts])
     return out
 
@@ -518,27 +522,38 @@ def enumerate_qyot(lam: Partition, n: int, max_step: int) -> list[SSOT]:
     with more than ``max_step`` runs.
     """
     lam = check_tableau_query(lam, n, max_step, "max_step")
-    return [SSOT._of(_qyot_steps(chain, kinds, des)) for chain, _, kinds, des in _walk(lam, n, max_step)]
+    return [SSOT._of(_qyot_steps(chain, dels, des)) for chain, _, dels, des in _walk(lam, n, max_step)]
 
 
 def render_boxes(x) -> list[list[str]]:
     """Multiset-tableau display: per box, the letters that ever touched it (of an SSOT, OT or event trace)."""
     events = _events_of(x)
-    return _box_rows(events.profile, events.boxes)
+    return _box_rows(map(str, events.profile), events.boxes)
 
 
 def _box_rows(letters, boxes) -> list[list[str]]:
-    """Rows of cells, each the letters of the events that touched its box, in order."""
-    cells: dict[Box, str] = {}
-    widths: list[int] = []  # per row, the rightmost column touched; a row is first touched after the one above
-    for u, box in zip(letters, boxes):
-        cells[box] = cells.get(box, "") + str(u)
-        row, col = box
-        if row > len(widths):
-            widths.append(col)
-        elif col > widths[row - 1]:
-            widths[row - 1] = col
-    return [[cells[row, col] for col in range(1, width + 1)] for row, width in enumerate(widths, 1)]
+    """Rows of cells, each the letters (strings) of the events that touched its box, in order.
+
+    The boxes that a chain from the empty shape touches fill each row from
+    the left and the rows from the top, so a box touched for the first time
+    is the next cell of its row or the first cell of the next row;
+    ``ValueError`` for one that leaves a gap.
+    """
+    rows: list[list[str]] = []
+    for u, (row, col) in zip(letters, boxes):
+        if 0 < row <= len(rows):
+            cells = rows[row - 1]
+            if 0 < col <= len(cells):
+                cells[col - 1] += u
+                continue
+            if col == len(cells) + 1:
+                cells.append(u)
+                continue
+        elif (row, col) == (len(rows) + 1, 1):
+            rows.append([u])
+            continue
+        raise ValueError(f"box {(row, col)} is not next to the boxes touched before it")
+    return rows
 
 
 def ssot_to_dict(S: SSOT) -> dict:

@@ -129,11 +129,18 @@ def _columns(T: Tableau) -> list[list[int]]:
 
 
 def _from_columns(cols: list[list[int]]) -> Tableau:
-    """The tableau whose columns are ``cols``, none of them empty."""
-    depth = len(cols[0]) if cols else 0
-    return tuple(
-        tuple(col[r] for col in cols if len(col) > r) for r in range(depth)
-    )
+    """The tableau whose columns are ``cols``, none of them empty.
+
+    Column lengths weakly decrease, so row ``r`` is read from the first
+    ``width`` columns, those longer than ``r``.
+    """
+    rows = []
+    width = len(cols)
+    for r in range(len(cols[0]) if cols else 0):
+        while len(cols[width - 1]) <= r:
+            width -= 1
+        rows.append(tuple([col[r] for col in cols[:width]]))
+    return tuple(rows)
 
 
 def _column_insert(cols: list[list[int]], x: int) -> Box:

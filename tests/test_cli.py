@@ -55,6 +55,11 @@ GOLDEN_CASES = [
     ("ssot_poly_21_3_1.txt", ["ssot-poly", "2,1", "3", "1"]),
     ("ssot_poly_21_3_1.json.txt", ["ssot-poly", "2,1", "3", "1", "--json"]),
     ("snp_empty_0_3.json.txt", ["snp", "-", "0", "3", "--json"]),
+    # multi-letter cells: a box touched by several events, rows of several cells
+    ("qyot_11_6_4.txt", ["enumerate-qyot", "1,1", "6", "4"]),
+    ("qyot_11_6_4.json.txt", ["enumerate-qyot", "1,1", "6", "4", "--json"]),
+    ("sundaram_example.txt", ["sundaram", str(DATA / "sundaram_example.json")]),
+    ("sundaram_example.json.txt", ["sundaram", str(DATA / "sundaram_example.json"), "--json"]),
 ]
 
 

@@ -9,6 +9,7 @@ from oscitab.correspondences import (
     EMPTY_ARRAY,
     SundaramPair,
     TwoRowArray,
+    _replay,
     burge_map,
     sundaram,
     sundaram_inverse,
@@ -18,6 +19,7 @@ from oscitab.correspondences import (
 from oscitab.oscillating import (
     ADD,
     DELETE,
+    EMPTY_SSOT,
     SSOT,
     _step_events,
     enumerate_ssot,
@@ -28,7 +30,7 @@ from oscitab.oscillating import (
 )
 from oscitab.polyring import SparsePoly, littlewood_truncated, schur_poly, ssot_poly
 from oscitab.shapes import conjugate, is_even_partition, partitions_of
-from oscitab.tableaux import check_tableau, column_insert, ssyt_of_shape, tableau_shape
+from oscitab.tableaux import _column_unbump, _from_columns, check_tableau, column_insert, ssyt_of_shape, tableau_shape
 
 
 SUNDARAM_EXAMPLE = SSOT(
@@ -82,6 +84,22 @@ def inverse_by_events(pair):
         boxes.append(box)
         kinds.append(kind)
     return ssot_from_events(letters[::-1], boxes[::-1], kinds[::-1])
+
+
+def sundaram_by_events(S):
+    """Sundaram's map event by event, through ``_step_events``: the oracle of ``sundaram``'s step replay."""
+    pairs, cols = [], []
+    for u, box, kind in _step_events(S.steps):
+        if kind == ADD:
+            if box[1] > len(cols):
+                cols.append([])
+            cols[box[1] - 1].append(u)
+        else:
+            pairs.append((u, _column_unbump(cols, box)))
+    L = TwoRowArray(pairs)
+    if not L.is_burge():
+        raise ValueError("produced array is not Burge")
+    return SundaramPair(L, _from_columns(cols))
 
 
 def events_by_lists(S):
@@ -311,6 +329,23 @@ def test_step_events_match_flat_lists():
                 assert list(zip(events.profile, events.boxes, events.kinds)) == expected
     assert list(_step_events(())) == []
     assert substep_events(SSOT(())).profile == ()
+
+
+def test_step_replay_matches_event_oracles():
+    # the step replay visits the events of _step_events in order, and lands on the event-wise map
+    listing = [EMPTY_SSOT]
+    for m in range(4):
+        for lam in partitions_of(m):
+            for e in (0, 2, 4):
+                for k in range(1, 6):
+                    listing += enumerate_ssot(lam, m + e, k)
+    assert len(listing) == 9840
+    for S in listing:
+        pairs, cols = [], []
+        replayed = list(_replay(S, pairs, cols))
+        assert [m for m, _, _, _ in replayed] == list(range(1, len(replayed) + 1))
+        assert [(u, box, kind) for _, u, kind, box in replayed] == list(_step_events(S.steps)), S
+        assert sundaram(S) == sundaram_by_events(S), S
 
 
 def test_sundaram_round_trip_exhaustive():

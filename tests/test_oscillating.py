@@ -20,7 +20,9 @@ from oscitab.oscillating import (
     enumerate_qyot,
     enumerate_ssot,
     is_quasi_yamanouchi,
+    _box_rows,
     _one_box_moves,
+    _walk,
     ot_events,
     render_boxes,
     replay_events,
@@ -31,7 +33,7 @@ from oscitab.oscillating import (
     standardize,
     substep_events,
 )
-from oscitab.shapes import _is_horizontal_strip, partitions_of
+from oscitab.shapes import _descent_composition, _is_horizontal_strip, partitions_of
 
 
 # ---- independent definitional enumeration, used as an oracle ----------------
@@ -750,6 +752,54 @@ def test_enumerate_ssot_edge_cases():
     for lam, n in (((1, 2), 3), ((2, 1), -1), ((1,), 3.0), ((True,), 1)):
         with pytest.raises(ValueError):
             enumerate_ot(lam, n)
+
+
+def box_rows_by_dict(letters, boxes):
+    """Box rows keyed by box, each row as wide as its rightmost touched column: the oracle of ``_box_rows``."""
+    cells = {}
+    widths = []  # per row, the rightmost column touched; a row is first touched after the one above
+    for u, box in zip(letters, boxes):
+        cells[box] = cells.get(box, "") + str(u)
+        row, col = box
+        if row > len(widths):
+            widths.append(col)
+        elif col > widths[row - 1]:
+            widths[row - 1] = col
+    return [[cells[row, col] for col in range(1, width + 1)] for row, width in enumerate(widths, 1)]
+
+
+def test_walk_deletion_counts_and_box_rows():
+    # each addition adds a box and each deletion removes one, so j events reach
+    # j - 2 * dels[j] boxes; the rows grown as lists match the dict-keyed build
+    queries = [(lam, n, k) for m in range(5) for lam in partitions_of(m) for n in range(10) for k in range(1, n + 2)]
+    queries += [((), 10, k) for k in range(1, 12)]  # letters up to 10
+    items = 0
+    for lam, n, k in queries:
+        for chain, boxes, dels, des in _walk(lam, n, k):
+            assert len(dels) == n + 1 and len(chain) == n + 1 and len(boxes) == n
+            assert all(d == (j - sum(shape)) // 2 for j, (d, shape) in enumerate(zip(dels, chain)))
+            comp = _descent_composition(des, n)
+            letters = [str(letter) for letter, size in enumerate(comp, 1) for _ in range(size)]
+            assert _box_rows(letters, boxes) == box_rows_by_dict(letters, boxes), (chain, letters)
+            items += 1
+    assert items == 59199
+
+
+@pytest.mark.parametrize(
+    "boxes",
+    [
+        ((1, 3),),  # a gap in row 1
+        ((1, 1), (3, 1)),  # a gap above row 3
+        ((1, 1), (2, 2)),  # a gap in row 2
+        ((1, 1), (1, 0)),
+        ((1, 1), (0, 1)),
+        ((1, 1), (-1, 1)),
+    ],
+)
+def test_render_boxes_rejects_boxes_that_leave_a_gap(boxes):
+    trace = EventTrace((1,) * len(boxes), boxes, (ADD,) * len(boxes))
+    with pytest.raises(ValueError, match="not next to the boxes touched before it"):
+        render_boxes(trace)
 
 
 def test_replay_matches_enumerated_chains():
